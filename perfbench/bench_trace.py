@@ -3,7 +3,7 @@
 A span records one call into a layer: its name (``<layer>.<function>``),
 start and end (``time.perf_counter``), the index of the enclosing span and
 the op it belongs to (``op-<i>`` for a timed op, ``setup-<r>`` for a fixture
-build, ``probe`` for calls made outside any op). Spans nest strictly, as the
+build, ``outside`` otherwise). Spans nest strictly, as the
 benchmark is single threaded, so a span's self time is its duration minus
 the durations of its direct children.
 """
@@ -19,7 +19,7 @@ class Tracer:
     def __init__(self):
         self.spans = []  # [name, start, end, parent, op]
         self.counts = []  # (op, name, value)
-        self.op = "probe"
+        self.op = "outside"
         self._stack = []
 
     @contextmanager
@@ -67,20 +67,20 @@ def aggregate(tracer: Tracer, kind: str, name: str, per_call: bool = False):
     """Median of a span's self time (kind "span") or a counter (kind "count").
 
     Values are summed per op, then the median is taken over the timed ops.
-    A name seen only in fixture builds is summed per build instead, and one
-    seen only in probes is taken per call. ``per_call`` takes the median over
-    single observations. Returns (value, where) with where one of "op",
-    "setup", "probe" or None when the name was never recorded.
+    A name seen only in fixture builds is summed per build instead.
+    ``per_call`` takes the median over single observations. Returns
+    (value, where) with where one of "op", "setup" or None when the name
+    was never recorded in either.
     """
     if kind == "span":
         obs = [(op, t) for n, op, t in tracer.self_times() if n == name]
     else:
         obs = [(op, v) for op, n, v in tracer.counts if n == name]
-    for where in ("op", "setup", "probe"):
+    for where in ("op", "setup"):
         vals = [(op, v) for op, v in obs if op_kind(op) == where]
         if not vals:
             continue
-        if per_call or where == "probe":
+        if per_call:
             return statistics.median(v for _, v in vals), where
         sums: dict[str, float] = {}
         for op, v in vals:

@@ -1,10 +1,11 @@
-"""Record the per-cell output digests that run.py checks, for a set of seeds.
+"""Record the per-cell outputs that run.py checks, for a set of seeds.
 
     python3 perfbench/record_digests.py --seeds 0-31
 
-Each cell of each workload runs once through its public entry point. The
-digests are stored in ``digests.json`` together with the numeric fingerprint
-of this environment; run.py checks them only where the fingerprint matches.
+Each cell of each workload runs once through its public entry point. Its
+digest and output numbers are stored in ``digests.json`` together with the
+numeric fingerprint of this environment; run.py compares the numbers with a
+tolerance everywhere and the digests only where the fingerprint matches.
 Recording under another fingerprint starts a new book.
 """
 import argparse
@@ -26,6 +27,21 @@ def seed_range(text):
     return range(int(lo), int(hi or lo) + 1)
 
 
+def book_text(book) -> str:
+    """JSON text of the book with one line per cell, so that a re-recording
+    reads as a diff of the cells that changed."""
+    workloads = []
+    for name in sorted(book["cells"]):
+        seeds = []
+        for seed in sorted(book["cells"][name], key=int):
+            cells = ",\n".join(f"    {json.dumps(c, sort_keys=True)}"
+                               for c in book["cells"][name][seed])
+            seeds.append(f'   "{seed}": [\n{cells}\n   ]')
+        workloads.append(f'  "{name}": {{\n' + ",\n".join(seeds) + "\n  }")
+    return ('{\n "fingerprint": ' + json.dumps(book["fingerprint"], sort_keys=True)
+            + ',\n "cells": {\n' + ",\n".join(workloads) + "\n }\n}\n")
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description="record per-cell output digests")
     p.add_argument("--seeds", type=seed_range, required=True, help="LO-HI, inclusive")
@@ -36,7 +52,7 @@ def main(argv=None):
         book = json.load(fh)
     fingerprint = bench_env.numeric_fingerprint()
     if book["fingerprint"] != fingerprint:
-        book = {"fingerprint": fingerprint, "digests": {}}
+        book = {"fingerprint": fingerprint, "cells": {}}
     scratch = HERE.parent / ".perfbench-work"
     scratch.mkdir(exist_ok=True)
     for name, wl in bench_workloads.WORKLOADS.items():
@@ -44,14 +60,14 @@ def main(argv=None):
             workdir = Path(tempfile.mkdtemp(prefix="record-", dir=scratch))
             try:
                 fixture = wl.setup(workdir, seed)
-                digests = [wl.run(fixture, cell).digest for cell in wl.cells()]
+                outs = [wl.outcome(fixture, cell, wl.run(fixture, cell)) for cell in wl.cells()]
             finally:
                 shutil.rmtree(workdir)
-            book["digests"].setdefault(name, {})[str(seed)] = digests
-            print(name, seed, digests, flush=True)
+            book["cells"].setdefault(name, {})[str(seed)] = [
+                {"digest": out.digest, "numbers": out.numbers} for out in outs]
+            print(name, seed, [out.digest for out in outs], flush=True)
     with open(path, "w") as fh:
-        json.dump(book, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(book_text(book))
 
 
 if __name__ == "__main__":

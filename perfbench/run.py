@@ -10,17 +10,19 @@ the environment so no worker pool is started. A run
 1. builds the fixture files three times, then runs one warm-up op, and
    reports import time plus the median build plus the warm-up as ``setup_s``;
 2. runs the workload's cells in cycle order until ``--seconds`` have passed
-   and every cell has run at least once;
+   and every cell has run at least once, timing only the public call;
 3. checks every op's outputs: each op must repeat the first run of its cell
-   byte for byte outside timings, the first run must match the digest
-   recorded for (workload, seed) in ``digests.json`` when one exists for this
-   numeric environment, and the Table-1 MISE bands must hold.
+   byte for byte outside timings; for a seed recorded in ``digests.json``
+   the first run of each cell must reproduce the recorded output numbers
+   within a relative 1e-9 and, in the numeric environment they were
+   recorded in, the recorded digest; the Table-1 MISE bands must hold.
 
-With ``--trace 1`` half the time runs untraced ops and half runs the traced
-recomposition of the same op (see ``bench_workloads``); the result then
-holds the per-layer metrics and the spans are written to the run's work
-directory. The last line of standard output is the JSON result; the exit
-status is 1 when any check failed and 2 on a usage or checkout error.
+With ``--trace 1`` every op runs twice in a row, untraced and then with
+the package's layer functions wrapped in spans (see ``bench_hooks``); the
+result then holds the per-layer metrics and the spans are written to the
+run's work directory. The last line of standard output is the JSON result;
+the exit status is 1 when any check failed and 2 on a usage or checkout
+error.
 """
 import time
 
@@ -29,6 +31,7 @@ T_START = time.perf_counter()
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import os  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
@@ -38,6 +41,7 @@ import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import bench_env  # noqa: E402
+from bench_hooks import instrument  # noqa: E402
 from bench_trace import Tracer, aggregate  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,7 +70,7 @@ LAYER_SOURCES = {
     "evaluation.mise_s": ("span", "evaluation.mise", False),
     "evaluation.mise_calls": ("count", "evaluation.mise_calls", False),
     "evaluation.mae_s": ("span", "evaluation.mae_latent", False),
-    "graphons.canonical_s": ("span", "graphons.canonical_rearrangement", True),
+    "graphons.canonical_s": ("span", "graphons.canonical_rearrangement", False),
     "baselines.sas_single_s": ("span", "baselines.sas_single", False),
     "baselines.usvt_single_s": ("span", "baselines.usvt_single", False),
     "baselines.pool_s": ("span", "baselines.pool_estimates", False),
@@ -112,46 +116,74 @@ def op_tail(times):
     return xs[j], 100.0 * (j + 1) / len(xs)
 
 
+def numbers_close(got, recorded) -> bool:
+    """Equal length and every pair equal within a relative 1e-9 (None for None)."""
+    return len(got) == len(recorded) and all(
+        a is None and b is None
+        or a is not None and b is not None and math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+        for a, b in zip(got, recorded))
+
+
 class Runner:
-    def __init__(self, wl, seed, workdir, tracer, recorded, failed_outcome):
+    def __init__(self, wl, seed, workdir, tracer, recorded, bitwise, failed_outcome):
         self.wl, self.seed, self.workdir, self.tracer = wl, seed, workdir, tracer
         self.failed_outcome = failed_outcome
         self.cells = wl.cells()
-        self.recorded = recorded
+        self.recorded = recorded  # per cell {"digest", "numbers"}, or None
+        self.bitwise = bitwise  # recorded under this numeric fingerprint
         self.reference = {}  # cell index -> digest of its first run in this process
-        self.first = {}  # cell index -> outcome of its first untraced run
-        self.probed = set()
+        self.first = {}  # cell index -> outcome of its first run
         self.checks = []  # (name, ok, detail)
-        self.rows = self.failed_rows = self.ops = 0
+        self.rows = self.failed_rows = 0
         self.errors = []
+        self.notes = {}
 
     def check(self, name, ok, detail=""):
         self.checks.append((name, bool(ok), detail))
 
-    def call(self, fn, *args):
+    def op(self, fixture, idx, label):
+        """Run cell ``idx`` once, timing only the public call; returns the
+        elapsed seconds and the checked outcome."""
+        cell = self.cells[idx]
+        t0 = time.perf_counter()
         try:
-            return fn(*args)
+            raw = self.wl.run(fixture, cell)
+            elapsed = time.perf_counter() - t0
+            out = self.wl.outcome(fixture, cell, raw)
         except Exception:  # one broken op must not hide the metrics of the rest
+            elapsed = time.perf_counter() - t0
             traceback.print_exc(file=sys.stderr)
-            return self.failed_outcome(traceback.format_exc(limit=1).strip())
+            out = self.failed_outcome(traceback.format_exc(limit=1).strip())
+        self.verify(idx, out, label)
+        return elapsed, out
 
     def verify(self, idx, out, label):
         self.rows += out.rows
         self.failed_rows += out.failed_rows
         self.errors.extend(out.errors)
-        if idx not in self.reference:
-            self.reference[idx] = out.digest
-            self.first[idx] = out
-            if self.recorded is not None:
-                self.check(f"cell {idx} matches recorded digest", out.digest == self.recorded[idx],
-                           f"got {out.digest}, recorded {self.recorded[idx]}")
-        else:
+        if idx in self.reference:
             self.check(f"{label} cell {idx} repeats first run", out.digest == self.reference[idx],
                        f"got {out.digest}, first {self.reference[idx]}")
+            return
+        self.reference[idx] = out.digest
+        self.first[idx] = out
+        if self.recorded is None:
+            return
+        if idx >= len(self.recorded):
+            self.check(f"cell {idx} has a recorded output", False,
+                       "digests.json predates this cycle: re-record it")
+            return
+        rec = self.recorded[idx]
+        self.check(f"cell {idx} output numbers match recorded",
+                   numbers_close(out.numbers, rec["numbers"]),
+                   f"got {out.numbers}, recorded {rec['numbers']}")
+        if self.bitwise:
+            self.check(f"cell {idx} matches recorded digest", out.digest == rec["digest"],
+                       f"got {out.digest}, recorded {rec['digest']}")
 
     def setup(self):
         """Build the fixture ``SETUP_REPEATS`` times, then run one warm-up op;
-        returns the fixture and the median build time plus the warm-up time."""
+        returns the fixture, the median build time and the warm-up time."""
         times = []
         for rep in range(SETUP_REPEATS):
             t0 = time.perf_counter()
@@ -159,47 +191,53 @@ class Runner:
             with scope:
                 fixture = self.wl.setup(self.workdir, self.seed, self.tracer)
             times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        out = self.call(self.wl.run, fixture, self.cells[0])
-        warm_up = time.perf_counter() - t0
-        self.verify(0, out, "warm-up")
-        return fixture, statistics.median(times) + warm_up
+        warm_up, _ = self.op(fixture, 0, "warm-up")
+        return fixture, statistics.median(times), warm_up
 
-    def measure(self, fixture, budget, traced):
+    def measure(self, fixture, budget):
         """Ops in cycle order until ``budget`` seconds have passed and every
         cell has run at least once."""
         times, estimator = [], []
         t_end = time.perf_counter() + budget
         while len(times) < len(self.cells) or time.perf_counter() < t_end:
-            idx = len(times) % len(self.cells)
-            cell = self.cells[idx]
-            op_id = f"op-{self.ops}"
-            self.ops += 1
-            t0 = time.perf_counter()
-            if traced:
-                with self.tracer.in_op(op_id):
-                    out = self.call(self.wl.run_traced, fixture, cell, self.tracer)
-            else:
-                out = self.call(self.wl.run, fixture, cell)
-            times.append(time.perf_counter() - t0)
+            elapsed, out = self.op(fixture, len(times) % len(self.cells), "timed")
+            times.append(elapsed)
             estimator.append(out.estimator_s)
-            self.verify(idx, out, "traced" if traced else "timed")
-            if traced and idx not in self.probed and out.probe_inputs:
-                self.probed.add(idx)
-                for check in self.wl.probe(fixture, cell, out, self.tracer):
-                    self.check(*check)
-            out.probe_inputs = {}
         return times, estimator
+
+    def measure_traced(self, fixture, budget):
+        """Each cell in cycle order runs twice in a row, untraced and then
+        traced, until ``budget`` seconds have passed and every cell has run;
+        the pairs keep a drift of the machine's speed out of the tracing
+        overhead. Returns both lists of op times and the hooks that could
+        not be installed."""
+        untraced, traced, missing = [], [], []
+        t_end = time.perf_counter() + budget
+        while len(traced) < len(self.cells) or time.perf_counter() < t_end:
+            idx = len(traced) % len(self.cells)
+            untraced.append(self.op(fixture, idx, "untraced")[0])
+            with self.tracer.in_op(f"op-{len(traced)}"), instrument(self.tracer) as missing:
+                traced.append(self.op(fixture, idx, "traced")[0])
+        return untraced, traced, missing
 
     def accuracy(self, fixture):
         mises, maes = [], []
         for idx, cell in enumerate(self.cells):
-            m, a = self.wl.accuracy(fixture, cell, self.first[idx])
+            try:
+                m, a, note = self.wl.accuracy(fixture, cell, self.first[idx])
+            except Exception:  # e.g. the op failed and wrote nothing to score
+                self.check(f"cell {idx} can be scored", False,
+                           traceback.format_exc(limit=1).strip())
+                continue
             mises += m
             maes += a
+            if note:
+                self.notes["mae_mean"] = note
         for check in self.wl.band_checks(self.first):
             self.check(*check)
-        return statistics.fmean(mises), statistics.fmean(maes)
+        # a run with nothing to score has failed checks already; report 0 then
+        return (statistics.fmean(mises) if mises else 0.0,
+                statistics.fmean(maes) if maes else 0.0)
 
     @property
     def failed(self):
@@ -210,13 +248,14 @@ class Runner:
         return self.rows + len(self.checks)
 
 
-def layer_metrics(tracer, wl, times_untraced, times_traced):
+def layer_metrics(tracer, missing_hooks, times_untraced, times_traced):
     values, notes = {}, {}
     for name, (kind, source, per_call) in LAYER_SOURCES.items():
         values[name], where = aggregate(tracer, kind, source, per_call)
-        reason = next((r for prefix, r in wl.not_separable if name.startswith(prefix)), None)
         if where is None:
-            notes[name] = reason or f"not applicable: no {source} {kind} in this workload"
+            notes[name] = f"not applicable: no {source} {kind} in this workload"
+            if missing_hooks:
+                notes[name] += f" (hooks not installed: {', '.join(missing_hooks)})"
         elif where != "op":
             notes[name] = f"measured in {where} calls, outside the timed ops"
     values["trace.overhead_frac"] = (
@@ -243,36 +282,39 @@ def main(argv=None) -> int:
     wl = bench_workloads.WORKLOADS[args.workload]
 
     env = bench_env.environment(ROOT, jobs)
-    recorded, digest_note = None, "no digest recorded for this seed: within-run repeats only"
     with open(Path(__file__).with_name("digests.json")) as fh:
         book = json.load(fh)
-    if str(args.seed) in book["digests"].get(wl.name, {}):
-        if book["fingerprint"] == env["fingerprint"]:
-            recorded = book["digests"][wl.name][str(args.seed)]
-            digest_note = "recorded digests checked"
-        else:
-            digest_note = "digests recorded in another numeric environment: within-run repeats only"
+    recorded = book["cells"].get(wl.name, {}).get(str(args.seed))
+    bitwise = book["fingerprint"] == env["fingerprint"]
+    if recorded is None:
+        digest_note = "no outputs recorded for this seed: within-run repeats only"
+    elif bitwise:
+        digest_note = "recorded digests and output numbers checked"
+    else:
+        digest_note = ("recorded output numbers checked; digests were recorded in another "
+                       "numeric environment and are not compared")
 
     run_id = f"{wl.name}-seed{args.seed}-trace{args.trace}-{os.getpid()}"
     workdir = ROOT / ".perfbench-work" / run_id
     fixture_dir = workdir / "fixture"
     fixture_dir.mkdir(parents=True, exist_ok=True)
     tracer = Tracer() if args.trace else None
-    runner = Runner(wl, args.seed, fixture_dir, tracer, recorded, bench_workloads.failed_outcome)
+    runner = Runner(wl, args.seed, fixture_dir, tracer, recorded, bitwise,
+                    bench_workloads.failed_outcome)
     try:
-        fixture, setup_median = runner.setup()
+        fixture, build_s, warm_up_s = runner.setup()
         if args.trace:
-            times_u, _ = runner.measure(fixture, args.seconds / 2, traced=False)
-            times_t, _ = runner.measure(fixture, args.seconds / 2, traced=True)
-            values, notes = layer_metrics(tracer, wl, times_u, times_t)
+            times_u, times_t, missing_hooks = runner.measure_traced(fixture, args.seconds)
+            runner.accuracy(fixture)
+            values, notes = layer_metrics(tracer, missing_hooks, times_u, times_t)
             declared = spec["per_layer"]
             op_seconds = {"untraced": times_u, "traced": times_t}
         else:
-            times, estimator = runner.measure(fixture, args.seconds, traced=False)
+            times, estimator = runner.measure(fixture, args.seconds)
             mise_mean, mae_mean = runner.accuracy(fixture)
             tail, tail_pct = op_tail(times)
             values = {
-                "setup_s": import_s + setup_median,
+                "setup_s": import_s + build_s + warm_up_s,
                 "op_p50_s": statistics.median(times),
                 "op_tail_s": tail,
                 "ops_per_s": len(times) / sum(times),
@@ -282,7 +324,12 @@ def main(argv=None) -> int:
                 "mise_mean": mise_mean,
                 "mae_mean": mae_mean,
             }
-            notes = {"op_tail_s": f"p{tail_pct:.1f} of {len(times)} ops"}
+            notes = {
+                "setup_s": f"import {import_s:.4f} s + fixture build {build_s:.4f} s (median of "
+                           f"{SETUP_REPEATS}) + warm-up op {warm_up_s:.4f} s",
+                "op_tail_s": f"p{tail_pct:.1f} of {len(times)} ops",
+                **runner.notes,
+            }
             declared = spec["end_to_end"]
             op_seconds = {"untraced": times}
     finally:
