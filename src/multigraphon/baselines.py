@@ -151,14 +151,13 @@ def usvt_single(graph: Graph, tau: float | None = None, n_ref: int | None = None
 @dataclass(frozen=True, eq=False)
 class PooledEstimate:
     grid: np.ndarray = field(repr=False)
-    per_graph: tuple | None = None
 
     @property
     def resolution(self) -> int:
         return self.grid.shape[0]
 
 
-def pool_estimates(per_graph, resolution: int, keep_inputs: bool = False) -> PooledEstimate:
+def pool_estimates(per_graph, resolution: int) -> PooledEstimate:
     """Average per-graph step estimates on a common grid.
 
     Each input is degree-sorted (rows and columns ordered by ascending row
@@ -172,7 +171,7 @@ def pool_estimates(per_graph, resolution: int, keep_inputs: bool = False) -> Poo
     for e in mats:
         order = np.argsort(e.mean(axis=1), kind="stable")
         acc += resample_grid(e[np.ix_(order, order)], resolution)
-    return PooledEstimate(acc / len(mats), tuple(mats) if keep_inputs else None)
+    return PooledEstimate(acc / len(mats))
 
 
 def _poolable_graphs(collection: GraphCollection) -> list[Graph]:

@@ -181,14 +181,15 @@ def _run_cell(cfg: ExperimentConfig, graphon_id: int, sweep_value: int | None, t
     sizes = cell_cfg.sizes.draw(np.random.default_rng([cfg.seed, graphon_id, trial, 0]), cell_cfg.num_graphs)
     coll, latent = sample_collection(spec, sizes, sub)
     records = []
+    ordering = None  # the joint ordering MAE scores; shared by the jgs methods
     for method in cfg.methods:
         try:
             est = _estimate(method, coll, cell_cfg, k)
-            ordering = None
-            if method in ("jgs", "jgs-smooth"):
-                ordering = joint_sort(normalized_degrees(coll).per_graph)
+            is_jgs = method in ("jgs", "jgs-smooth")
+            if is_jgs and ordering is None:
+                ordering = joint_sort(normalized_degrees(coll))
             report = evaluate_estimate(est, spec, resolution=cfg.resolution,
-                                       ordering=ordering, latent=latent)
+                                       ordering=ordering if is_jgs else None, latent=latent)
             records.append(ResultRecord(
                 graphon_id=graphon_id,
                 num_graphs=cell_cfg.num_graphs,

@@ -101,7 +101,7 @@ def cmd_evaluate(args) -> int:
         coll, latent, _ = load_collection(args.collection)
         if latent is None:
             raise SystemExit(f"--mae requested but no latent sidecar found for {args.collection}")
-        ordering = joint_sort(normalized_degrees(coll).per_graph)
+        ordering = joint_sort(normalized_degrees(coll))
         mae = mae_latent(ordering, latent)
     rec = ResultRecord(
         graphon_id=gid,

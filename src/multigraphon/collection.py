@@ -1,8 +1,10 @@
 """Graph collections: storage, validation, sampling from a graphon, JSONL I/O.
 
 A collection holds M undirected simple graphs with disjoint node sets and
-heterogeneous sizes. Each graph is stored as a node count plus an edge list
-of unordered pairs (i, j), i < j, 0-based.
+heterogeneous sizes. Each graph is a node count plus an edge list of
+unordered pairs (i, j), i < j, 0-based. A :class:`GraphCollection` stores
+all of them in one flat layout: node offsets, edge offsets and a single
+edge array of global node ids.
 
 Reproducibility contract: graph ``m`` of a collection sampled with seed ``s``
 is drawn from ``numpy.random.default_rng([s, m])``, i.e. the sub-stream is
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .graphons import Graphon, graphon_eval
 __all__ = [
     "Graph",
     "GraphCollection",
-    "LatentAssignment",
+    "InvalidGraph",
     "graph_rng",
     "sample_collection",
     "save_collection",
@@ -31,6 +34,58 @@ __all__ = [
 ]
 
 _EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
+
+
+class InvalidGraph(ValueError):
+    """A graph of a collection failed validation; ``graph`` is its index."""
+
+    def __init__(self, graph: int, reason: str):
+        super().__init__(f"graph {graph}: {reason}")
+        self.graph = graph
+        self.reason = reason
+
+
+def _offsets(counts) -> np.ndarray:
+    """Exclusive prefix sums: (M,) counts -> (M+1,) offsets starting at 0."""
+    return np.concatenate(([0], np.cumsum(np.asarray(counts, dtype=np.int64))))
+
+
+def _graph_of(offsets: np.ndarray, position) -> int:
+    """Index of the graph whose range in ``offsets`` holds ``position``."""
+    return int(np.searchsorted(offsets, position, side="right")) - 1
+
+
+def _global_edges(node_offsets: np.ndarray, edge_offsets: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Check the local edge lists of M graphs, concatenated in graph order,
+    and turn them in place into global endpoints (node offset + local id).
+
+    Raises :class:`InvalidGraph` naming the first graph with fewer than one
+    node, an edge with i >= j, an endpoint outside [0, n) or a repeated edge.
+    """
+    sizes = np.diff(node_offsets)
+    if np.any(sizes < 1):
+        raise InvalidGraph(int(np.argmax(sizes < 1)), "graph must have at least one node")
+    counts = np.diff(edge_offsets)
+    u, v = local[:, 0], local[:, 1]
+    bad = u >= v
+    if bad.any():
+        raise InvalidGraph(_graph_of(edge_offsets, np.argmax(bad)), "edges must satisfy i < j (no self-loops)")
+    bad = (u < 0) | (v >= np.repeat(sizes, counts))
+    if bad.any():
+        raise InvalidGraph(_graph_of(edge_offsets, np.argmax(bad)), "edge endpoints must lie in [0, n)")
+    local += np.repeat(node_offsets[:-1], counts)[:, None]
+    # graphs own increasing node ranges, so edge lists in lexicographic order
+    # (as the sampler and saved files have them) give strictly increasing keys
+    n_total = node_offsets[-1]
+    keys = u * n_total
+    keys += v
+    if not np.all(keys[1:] > keys[:-1]):
+        keys.sort()
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            node = keys[np.argmax(repeated)] // n_total
+            raise InvalidGraph(_graph_of(node_offsets, node), "duplicate edges")
+    return local
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,18 +96,20 @@ class Graph:
     edges: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph must have at least one node")
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if e.size:
-            if np.any(e[:, 0] >= e[:, 1]):
-                raise ValueError("edges must satisfy i < j (no self-loops)")
-            if np.any(e < 0) or np.any(e >= self.n):
-                raise ValueError("edge endpoints must lie in [0, n)")
-            keys = e[:, 0] * self.n + e[:, 1]
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate edges")
+        try:
+            _global_edges(np.array([0, self.n], dtype=np.int64), np.array([0, e.shape[0]]), e.copy())
+        except InvalidGraph as exc:
+            raise ValueError(exc.reason) from None
         object.__setattr__(self, "edges", e)
+
+    @classmethod
+    def _view(cls, n: int, edges: np.ndarray) -> "Graph":
+        """A graph over edges a collection has already validated."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @property
     def edge_count(self) -> int:
@@ -70,38 +127,79 @@ class Graph:
         return a
 
 
-@dataclass(frozen=True, eq=False)
 class GraphCollection:
-    graphs: tuple[Graph, ...]
+    """M graphs in one flat (CSR) layout, validated once at construction.
 
-    def __post_init__(self):
-        object.__setattr__(self, "graphs", tuple(self.graphs))
-        if not self.graphs:
+    Graph m owns the global node ids ``node_offsets[m]`` to
+    ``node_offsets[m+1] - 1`` and the rows ``edge_offsets[m]`` to
+    ``edge_offsets[m+1] - 1`` of ``edges``, an (E, 2) int64 array of global
+    endpoints (node offset + local id) with i < j in every row; treat the
+    arrays as read-only. ``GraphCollection(graphs)`` builds the layout from
+    :class:`Graph` objects; :attr:`graphs` gives per-graph views with local ids.
+    """
+
+    def __init__(self, graphs):
+        graphs = tuple(graphs)
+        local = np.concatenate([g.edges for g in graphs]) if graphs else _EMPTY_EDGES
+        self._build([g.n for g in graphs], [g.edge_count for g in graphs], local)
+        self._graphs = graphs
+
+    @classmethod
+    def from_edge_lists(cls, sizes, edge_counts, local_edges: np.ndarray) -> "GraphCollection":
+        """Build from graph sizes, per-graph edge counts and the local edge
+        lists of all graphs concatenated in graph order, an (E, 2) int64
+        array that the collection takes over and rewrites in place."""
+        coll = cls.__new__(cls)
+        coll._build(sizes, edge_counts, local_edges)
+        coll._graphs = None
+        return coll
+
+    def _build(self, sizes, edge_counts, local: np.ndarray) -> None:
+        if len(sizes) == 0:
             raise ValueError("collection must contain at least one graph")
+        self.node_offsets = _offsets(sizes)
+        self.edge_offsets = _offsets(edge_counts)
+        local = np.asarray(local, dtype=np.int64).reshape(-1, 2)
+        if len(edge_counts) != len(sizes) or self.edge_offsets[-1] != local.shape[0]:
+            raise ValueError("need one edge count per graph, adding up to the number of edges")
+        self.edges = _global_edges(self.node_offsets, self.edge_offsets, local)
+
+    @property
+    def graphs(self) -> tuple[Graph, ...]:
+        """Per-graph views with local node ids, built on first access."""
+        if self._graphs is None:
+            counts = np.diff(self.edge_offsets)
+            local = self.edges - np.repeat(self.node_offsets[:-1], counts)[:, None]
+            bounds = self.edge_offsets.tolist()
+            self._graphs = tuple(
+                Graph._view(n, local[a:b]) for n, a, b in zip(self.sizes, bounds[:-1], bounds[1:])
+            )
+        return self._graphs
 
     @property
     def num_graphs(self) -> int:
         """M, the number of graphs."""
-        return len(self.graphs)
+        return self.node_offsets.size - 1
 
     @property
     def total_nodes(self) -> int:
         """N = sum of graph sizes."""
-        return sum(g.n for g in self.graphs)
+        return int(self.node_offsets[-1])
 
     @property
     def total_dyads(self) -> int:
         """S = sum of squared graph sizes (observed entries of the merged matrix)."""
-        return sum(g.n * g.n for g in self.graphs)
+        sizes = np.diff(self.node_offsets)
+        return int(sizes @ sizes)
+
+    @property
+    def edge_count(self) -> int:
+        """E, the number of edges over all graphs."""
+        return self.edges.shape[0]
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(g.n for g in self.graphs)
-
-
-# LatentAssignment: per graph, the latent positions U in [0,1] (known for
-# synthetic collections, retained for evaluation).
-LatentAssignment = tuple
+        return tuple(np.diff(self.node_offsets).tolist())
 
 
 def graph_rng(seed: int, m: int) -> np.random.Generator:
@@ -109,41 +207,47 @@ def graph_rng(seed: int, m: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(m)])
 
 
-def _sample_graph(spec: Graphon, n: int, rng: np.random.Generator) -> tuple[Graph, np.ndarray]:
+def _sample_graph(spec: Graphon, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latent positions and the edges' endpoint columns (i, j) of one graph."""
     latent = rng.uniform(size=n)
     if n == 1:
-        return Graph(1, _EMPTY_EDGES), latent
+        return latent, _EMPTY_EDGES[:, 0], _EMPTY_EDGES[:, 1]
     iu, ju = np.triu_indices(n, k=1)
     probs = np.asarray(graphon_eval(spec, latent[iu], latent[ju]))
     hit = rng.random(iu.size) < probs
-    edges = np.column_stack([iu[hit], ju[hit]]).astype(np.int64)
-    return Graph(n, edges), latent
+    return latent, iu[hit], ju[hit]
 
 
-def sample_collection(
-    spec: Graphon, sizes, seed: int
-) -> tuple[GraphCollection, LatentAssignment]:
+def sample_collection(spec: Graphon, sizes, seed: int) -> tuple[GraphCollection, tuple]:
     """Sample one graph per entry of ``sizes`` from the graphon.
 
     For each graph: latent positions are i.i.d. Uniform[0,1]; each pair
     i < j is an edge independently with probability W(U_i, U_j).
-    Returns the collection together with the true latent positions.
+    Returns the collection together with the true latent positions
+    (one array per graph).
     """
     sizes = [int(n) for n in sizes]
     if any(n < 1 for n in sizes):
         raise ValueError("all graph sizes must be >= 1")
-    graphs, latents = [], []
+    latents, heads, tails = [], [], []
     for m, n in enumerate(sizes):
-        g, u = _sample_graph(spec, n, graph_rng(seed, m))
-        graphs.append(g)
-        latents.append(u)
-    return GraphCollection(tuple(graphs)), tuple(latents)
+        latent, i, j = _sample_graph(spec, n, graph_rng(seed, m))
+        latents.append(latent)
+        heads.append(i)
+        tails.append(j)
+    counts = [i.size for i in heads]
+    local = np.empty((sum(counts), 2), dtype=np.int64)
+    if heads:
+        np.concatenate(heads, out=local[:, 0])
+        np.concatenate(tails, out=local[:, 1])
+    del heads, tails
+    return GraphCollection.from_edge_lists(sizes, counts, local), tuple(latents)
 
 
 def save_collection(
     collection: GraphCollection,
     path,
-    latent: LatentAssignment | None = None,
+    latent=None,
     graphon_id: int | None = None,
     seed: int | None = None,
 ) -> None:
@@ -168,20 +272,52 @@ def save_collection(
             fh.write("\n")
 
 
-def load_collection(path) -> tuple[GraphCollection, LatentAssignment | None, dict]:
-    """Read a JSONL collection; returns (collection, latent or None, sidecar dict)."""
-    graphs = []
+def _parse_record(line: str, m: int) -> tuple[int, list]:
+    """``n`` and the flattened edge endpoints of the record for graph ``m``."""
+    rec = json.loads(line)
+    n, rec_id, edges = rec["n"], rec["id"], rec["edges"]
+    # type(x) is int, not isinstance: bools are ints to Python but not here
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if type(rec_id) is not int or rec_id != m:
+        raise ValueError(f"id must be {m} (records are numbered 0..M-1 in file order), got {rec_id!r}")
+    if type(edges) is not list or not set(map(len, edges)) <= {2}:
+        raise ValueError("edges must be a list of [i, j] pairs")
+    endpoints = list(chain.from_iterable(edges))
+    if not set(map(type, endpoints)) <= {int}:
+        raise ValueError("edge endpoints must be integers")
+    return n, endpoints
+
+
+def load_collection(path) -> tuple[GraphCollection, tuple | None, dict]:
+    """Read a JSONL collection; returns (collection, latent or None, sidecar dict).
+
+    Every record must carry an integer ``n``, integer edge endpoints and an
+    ``id`` equal to its position among the records (0..M-1); any other
+    record is rejected with its line number.
+    """
+    sizes, counts, endpoints, linenos = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                graphs.append(Graph(int(rec["n"]), np.asarray(rec["edges"], dtype=np.int64).reshape(-1, 2)))
+                n, ends = _parse_record(line, len(sizes))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed collection record on line {lineno}: {exc}") from exc
-    collection = GraphCollection(tuple(graphs))
+            sizes.append(n)
+            counts.append(len(ends) // 2)
+            endpoints += ends
+            linenos.append(lineno)
+    try:
+        local = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+        collection = GraphCollection.from_edge_lists(sizes, counts, local)
+    except InvalidGraph as exc:
+        raise ValueError(
+            f"{path}: malformed collection record on line {linenos[exc.graph]}: {exc.reason}"
+        ) from exc
+    except OverflowError as exc:
+        raise ValueError(f"{path}: integer out of range: {exc}") from exc
     latent = None
     sidecar: dict = {}
     try:

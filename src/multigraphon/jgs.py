@@ -36,12 +36,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeReport:
-    """Per-graph normalized degrees plus which graphs hit the size-1 convention."""
+    """Normalized degree of every node, graph-major, plus which graphs hit
+    the size-1 convention. Graph m's nodes are ``degree[node_offsets[m]:
+    node_offsets[m+1]]``."""
 
-    per_graph: tuple
+    degree: np.ndarray = field(repr=False)
+    node_offsets: np.ndarray = field(repr=False)
     singleton_graphs: tuple[int, ...]
+
+    @property
+    def per_graph(self) -> tuple[np.ndarray, ...]:
+        """Per-graph views of ``degree``."""
+        return tuple(np.split(self.degree, self.node_offsets[1:-1]))
 
 
 def normalized_degrees(collection: GraphCollection) -> DegreeReport:
@@ -50,15 +58,12 @@ def normalized_degrees(collection: GraphCollection) -> DegreeReport:
     A single-node graph has no well-defined divisor; its node gets degree 0
     by convention and the graph index is flagged in the report.
     """
-    out = []
-    singletons = []
-    for m, g in enumerate(collection.graphs):
-        if g.n == 1:
-            out.append(np.zeros(1))
-            singletons.append(m)
-        else:
-            out.append(g.degrees() / (g.n - 1))
-    return DegreeReport(tuple(out), tuple(singletons))
+    offsets = collection.node_offsets
+    sizes = np.diff(offsets)
+    raw = np.bincount(collection.edges.ravel(), minlength=collection.total_nodes)
+    divisor = np.repeat(np.maximum(sizes - 1, 1), sizes)
+    singletons = np.flatnonzero(sizes == 1)
+    return DegreeReport(raw / divisor, offsets, tuple(singletons.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,25 +89,27 @@ class JointOrdering:
         """Latent-position estimates (rank - 1/2) / N, graph-major order."""
         return (self.rank - 0.5) / self.n_total
 
-    def split_by_graph(self, values: np.ndarray) -> list[np.ndarray]:
-        """Split a graph-major (N,) array into per-graph arrays."""
-        counts = np.bincount(self.graph_index)
-        return np.split(np.asarray(values), np.cumsum(counts)[:-1])
-
 
 def joint_sort(degrees, tie_break: str = "index", tie_seed: int | None = None) -> JointOrdering:
     """Stable ascending sort of all (graph, node) entries by normalized degree.
 
-    Ties are broken by (graph, node) enumeration order; ``tie_break="random"``
-    instead breaks them uniformly at random under ``tie_seed`` (useful for
-    checking that index tie-breaking introduces no systematic bias).
+    ``degrees`` is a :class:`DegreeReport` or a sequence of per-graph degree
+    arrays. Ties are broken by (graph, node) enumeration order;
+    ``tie_break="random"`` instead breaks them uniformly at random under
+    ``tie_seed`` (useful for checking that index tie-breaking introduces no
+    systematic bias).
     """
-    per_graph = [np.asarray(d, dtype=float) for d in degrees]
-    if sum(d.size for d in per_graph) == 0:
+    if isinstance(degrees, DegreeReport):
+        d_all, offsets = degrees.degree, degrees.node_offsets
+    else:
+        per_graph = [np.asarray(d, dtype=float) for d in degrees]
+        d_all = np.concatenate(per_graph) if per_graph else np.empty(0)
+        offsets = np.concatenate(([0], np.cumsum([d.size for d in per_graph], dtype=np.int64)))
+    if d_all.size == 0:
         raise ValueError("need at least one node")
-    d_all = np.concatenate(per_graph)
-    graph_index = np.concatenate([np.full(d.size, m, dtype=np.int64) for m, d in enumerate(per_graph)])
-    node_index = np.concatenate([np.arange(d.size, dtype=np.int64) for d in per_graph])
+    sizes = np.diff(offsets)
+    graph_index = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    node_index = np.arange(d_all.size, dtype=np.int64) - np.repeat(offsets[:-1], sizes)
     if tie_break == "index":
         order = np.argsort(d_all, kind="stable")
     elif tie_break == "random":
@@ -131,6 +138,12 @@ def select_k(N: int, M: int, S: int, c: float = 2.0) -> int:
     return max(1, min(rate_k, guard_k))
 
 
+# Edges per histogram pass. Chunks keep the pass's temporaries under 4 MB:
+# numpy backs larger arrays with huge pages, and faulting those in made a
+# single pass over 500k edges about twice as slow as chunked passes.
+_EDGE_CHUNK = 1 << 16
+
+
 def _block_of_rank(rank: np.ndarray, N: int, k: int) -> np.ndarray:
     # exact integer form of: index of the interval containing (rank - 1/2)/N
     return ((2 * rank.astype(np.int64) - 1) * k) // (2 * N)
@@ -139,7 +152,7 @@ def _block_of_rank(rank: np.ndarray, N: int, k: int) -> np.ndarray:
 def _check_ordering(collection: GraphCollection, ordering: JointOrdering) -> None:
     counts = np.bincount(ordering.graph_index, minlength=collection.num_graphs)
     if ordering.n_total != collection.total_nodes or not np.array_equal(
-        counts, np.asarray(collection.sizes)
+        counts, np.diff(collection.node_offsets)
     ):
         raise ValueError("ordering does not cover exactly the collection's nodes")
 
@@ -151,7 +164,8 @@ def jgs_histogram(collection: GraphCollection, ordering: JointOrdering, k: int) 
     pairs (i, j) whose latent estimates fall in I_s x I_t; self-pairs i = j
     are part of the denominator (the merged diagonal is an observed zero).
     Blocks with no observed dyads are 0 through the max(1, .) guard.
-    Runs in one pass over the edge lists plus one pass over the nodes.
+    Runs in one pass over the collection's edge array (in fixed-size
+    chunks) plus one pass over the nodes.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -159,17 +173,12 @@ def jgs_histogram(collection: GraphCollection, ordering: JointOrdering, k: int) 
     N = collection.total_nodes
     M = collection.num_graphs
     node_blocks = _block_of_rank(ordering.rank, N, k)
-    blocks_per_graph = ordering.split_by_graph(node_blocks)
-
     half = np.zeros(k * k, dtype=np.int64)
-    counts = np.zeros((M, k), dtype=np.int64)
-    edges_touched = 0
-    for m, (g, b) in enumerate(zip(collection.graphs, blocks_per_graph)):
-        counts[m] = np.bincount(b, minlength=k)
-        if g.edge_count:
-            half += np.bincount(b[g.edges[:, 0]] * k + b[g.edges[:, 1]], minlength=k * k)
-            edges_touched += g.edge_count
+    for start in range(0, collection.edge_count, _EDGE_CHUNK):
+        e = collection.edges[start:start + _EDGE_CHUNK]
+        half += np.bincount(node_blocks[e[:, 0]] * k + node_blocks[e[:, 1]], minlength=k * k)
     half = half.reshape(k, k)
+    counts = np.bincount(ordering.graph_index * k + node_blocks, minlength=M * k).reshape(M, k)
     num = half + half.T  # each stored edge stands for two ordered entries
     denom = counts.T @ counts
 
@@ -182,7 +191,7 @@ def jgs_histogram(collection: GraphCollection, ordering: JointOrdering, k: int) 
         dyad_count=collection.total_dyads,
         params={
             "k": k,
-            "edges_touched": edges_touched,
+            "edges_touched": collection.edge_count,
             "nodes_touched": int(N),
         },
         empty_blocks=int(np.count_nonzero(denom == 0)),
@@ -206,9 +215,9 @@ def jgs_histogram_naive(
         raise ValueError(f"naive histogram is oracle-scale only (N={N} > {max_nodes})")
 
     merged = np.full((N, N), np.nan)
-    ranks_per_graph = ordering.split_by_graph(ordering.rank)
-    for g, r in zip(collection.graphs, ranks_per_graph):
-        pos = r - 1
+    offsets = collection.node_offsets
+    for m, g in enumerate(collection.graphs):
+        pos = ordering.rank[offsets[m]:offsets[m + 1]] - 1
         merged[np.ix_(pos, pos)] = g.adjacency()
 
     observed = ~np.isnan(merged)
@@ -254,7 +263,7 @@ def estimate_jgs(
     """
     t0 = time.perf_counter()
     report = normalized_degrees(collection)
-    ordering = joint_sort(report.per_graph, tie_break=tie_break, tie_seed=tie_seed)
+    ordering = joint_sort(report, tie_break=tie_break, tie_seed=tie_seed)
     N, M, S = collection.total_nodes, collection.num_graphs, collection.total_dyads
     if k == "auto":
         k_val, k_mode = select_k(N, M, S, c=c), "auto"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multigraphon.collection import (
@@ -13,6 +13,7 @@ from multigraphon.collection import (
     save_collection,
 )
 from multigraphon.graphons import Graphon
+from multigraphon.jgs import jgs_histogram, jgs_histogram_naive, joint_sort, normalized_degrees
 
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
 
@@ -125,3 +126,91 @@ class TestJsonl:
         assert rec["id"] == 0 and rec["n"] == 5
         for i, j in rec["edges"]:
             assert 0 <= i < j < 5
+
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            pytest.param(['{"id":0,"n":2.9,"edges":[[0,1]]}'], 1, id="float-n"),
+            pytest.param(['{"id":0,"n":3,"edges":[]}', '{"id":1,"n":3,"edges":[[0,1.7]]}'], 2,
+                         id="float-endpoint"),
+            pytest.param(['{"id":0,"n":3,"edges":[[0,true]]}'], 1, id="bool-endpoint"),
+            pytest.param(['{"id":0,"n":"3","edges":[[0,1]]}'], 1, id="string-n"),
+            pytest.param(['{"id":0,"n":2,"edges":[]}', '{"id":2,"n":2,"edges":[]}'], 2,
+                         id="id-gap"),
+            # checked over the whole edge array after parsing, reported by line
+            pytest.param(['{"id":0,"n":2,"edges":[]}', "", '{"id":1,"n":2,"edges":[[0,2]]}'], 3,
+                         id="endpoint-out-of-range"),
+        ],
+    )
+    def test_strict_records_rejected_with_line(self, tmp_path, records, line):
+        path = tmp_path / "strict.jsonl"
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            load_collection(path)
+
+
+class TestFlatLayout:
+    """GraphCollection(graphs), sample_collection and save + load must build
+    the same flat collection."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**32),
+        spec=st.sampled_from([Graphon.constant(0.0), Graphon.constant(1.0),
+                              Graphon.analytic(1), Graphon.analytic(10)]),
+        extra_k=st.integers(min_value=-6, max_value=3),
+    )
+    # M = 1 with a singleton and k > N; identical complete graphs around a
+    # singleton; edgeless graphs
+    @example(sizes=[1], seed=0, spec=Graphon.constant(0.0), extra_k=2)
+    @example(sizes=[3, 1, 3], seed=1, spec=Graphon.constant(1.0), extra_k=3)
+    @example(sizes=[4, 2], seed=2, spec=Graphon.constant(0.0), extra_k=0)
+    def test_three_constructions_agree(self, tmp_path_factory, sizes, seed, spec, extra_k):
+        sampled, _ = sample_collection(spec, sizes, seed)
+        rebuilt = GraphCollection(tuple(Graph(g.n, g.edges.copy()) for g in sampled.graphs))
+        path = tmp_path_factory.mktemp("flat") / "c.jsonl"
+        save_collection(sampled, path)
+        loaded, _, _ = load_collection(path)
+
+        N = sampled.total_nodes
+        k = max(1, N + extra_k)  # k > N when extra_k > 0
+        ordering = joint_sort(normalized_degrees(sampled))
+        reference = jgs_histogram_naive(sampled, ordering, k).values.tobytes()
+        for coll in (sampled, rebuilt, loaded):
+            assert coll.sizes == tuple(sizes)
+            assert coll.edge_count == sum(g.edge_count for g in sampled.graphs)
+            for g, h in zip(coll.graphs, sampled.graphs):
+                assert g.n == h.n and g.edges.dtype == np.int64
+                assert np.array_equal(g.edges, h.edges)
+            report = normalized_degrees(coll)
+            for g, d in zip(coll.graphs, report.per_graph):  # per-graph loop reference
+                assert np.array_equal(d, g.degrees() / max(g.n - 1, 1))
+            coll_ordering = joint_sort(report)
+            assert np.array_equal(coll_ordering.rank, joint_sort(report.per_graph).rank)
+            assert jgs_histogram(coll, coll_ordering, k).values.tobytes() == reference
+
+    def test_identical_graphs_are_not_duplicates(self, tmp_path):
+        triangle = np.array([[0, 1], [0, 2], [1, 2]])
+        coll = GraphCollection((Graph(3, triangle), Graph(3, triangle)))
+        assert coll.edges.tolist() == [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]
+        sampled, _ = sample_collection(Graphon.constant(1.0), [3, 3], seed=0)
+        assert np.array_equal(sampled.edges, coll.edges)
+        save_collection(coll, tmp_path / "c.jsonl")
+        assert np.array_equal(load_collection(tmp_path / "c.jsonl")[0].edges, coll.edges)
+
+    def test_unsorted_duplicate_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="graph 1: duplicate edges"):
+            GraphCollection.from_edge_lists([2, 3], [1, 3], np.array([[0, 1], [1, 2], [0, 1], [1, 2]]))
+        path = tmp_path / "dup.jsonl"
+        path.write_text('{"id":0,"n":2,"edges":[[0,1]]}\n{"id":1,"n":3,"edges":[[1,2],[0,1],[1,2]]}\n')
+        with pytest.raises(ValueError, match="line 2: duplicate edges"):
+            load_collection(path)
+
+    def test_flat_arrays_and_local_views(self):
+        coll = GraphCollection((Graph(2, np.array([[0, 1]])), Graph(3, np.array([[1, 2]]))))
+        assert coll.edges.tolist() == [[0, 1], [3, 4]]
+        assert coll.node_offsets.tolist() == [0, 2, 5]
+        assert coll.edge_offsets.tolist() == [0, 1, 2]
+        views = GraphCollection.from_edge_lists([2, 3], [1, 1], np.array([[0, 1], [1, 2]])).graphs
+        assert [g.edges.tolist() for g in views] == [[[0, 1]], [[1, 2]]]

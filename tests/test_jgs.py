@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigraphon.collection import Graph, GraphCollection, sample_collection
+from multigraphon import jgs
 from multigraphon.graphons import Graphon
 from multigraphon.jgs import (
     estimate_jgs,
@@ -213,6 +214,18 @@ class TestNaiveOracle:
             slow = jgs_histogram_naive(coll, o, k)
             assert np.array_equal(fast.values, slow.values)
             assert fast.empty_blocks == slow.empty_blocks
+
+
+    def test_chunked_edge_pass(self, monkeypatch):
+        # chunks far smaller than the edge count: the summed chunks must
+        # still equal the oracle bit for bit
+        monkeypatch.setattr(jgs, "_EDGE_CHUNK", 5)
+        coll, _ = sample_collection(Graphon.analytic(3), [1, 9, 30, 2, 17], seed=8)
+        o = ordering_of(coll)
+        for k in (1, 4, 13):
+            fast = jgs_histogram(coll, o, k)
+            assert np.array_equal(fast.values, jgs_histogram_naive(coll, o, k).values)
+            assert fast.params["edges_touched"] == coll.edge_count
 
 
 class TestPermutationInvariance:
