@@ -227,16 +227,31 @@ def _cells(cfg: ExperimentConfig):
                 yield gid, sv, trial
 
 
+def _worker_count(cells: int) -> int:
+    """Worker processes for ``cells`` cells: MULTIGRAPHON_JOBS (unset or
+    empty means 1), capped at the number of cells."""
+    text = os.environ.get(JOBS_ENV_VAR, "").strip()
+    try:
+        jobs = int(text) if text else 1
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {text!r}")
+    return min(jobs, cells)
+
+
 def run_benchmark(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run every (graphon x sweep value x trial x method) cell.
 
     Rows come back in deterministic (graphon, sweep value, trial, method)
     order regardless of how many worker processes execute them; set the
-    MULTIGRAPHON_JOBS environment variable above 1 to parallelize trials.
+    MULTIGRAPHON_JOBS environment variable above 1 to parallelize trials
+    (at most one worker per cell); a value that is not a positive integer
+    raises ValueError before any worker starts.
     """
     cells = list(_cells(cfg))
-    jobs = int(os.environ.get(JOBS_ENV_VAR, "1") or "1")
-    if jobs > 1 and len(cells) > 1:
+    jobs = _worker_count(len(cells))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_run_cell, *zip(*[(cfg, g, s, t) for g, s, t in cells])))
     else:

@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graphons import Graphon, graphon_eval
+from .graphons import Graphon, _kernel
 
 __all__ = [
     "Graph",
@@ -207,15 +207,34 @@ def graph_rng(seed: int, m: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(m)])
 
 
+# dyads drawn per rng.random call; bounds the sampler's temporaries to a few
+# MB (a single pass over an n=1000 graph's 499500 dyads needs ~32 MB)
+_DYAD_CHUNK = 1 << 16
+
+
 def _sample_graph(spec: Graphon, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latent positions and the edges' endpoint columns (i, j) of one graph."""
+    """Latent positions and the edges' endpoint columns (i, j) of one graph.
+
+    Pairs i < j are visited in row-major order, one chunk of dyads at a
+    time; chunked ``rng.random`` calls draw the same stream as one call.
+    """
     latent = rng.uniform(size=n)
-    if n == 1:
-        return latent, _EMPTY_EDGES[:, 0], _EMPTY_EDGES[:, 1]
-    iu, ju = np.triu_indices(n, k=1)
-    probs = np.asarray(graphon_eval(spec, latent[iu], latent[ju]))
-    hit = rng.random(iu.size) < probs
-    return latent, iu[hit], ju[hit]
+    # pairs (i, i+1..n-1) of row i sit at positions row_start[i]..row_start[i+1]-1
+    row_start = _offsets(np.arange(n - 1, 0, -1))
+    total = int(row_start[-1])
+    heads, tails = [_EMPTY_EDGES[:, 0]], [_EMPTY_EDGES[:, 1]]
+    for start in range(0, total, _DYAD_CHUNK):
+        stop = min(start + _DYAD_CHUNK, total)
+        first = int(np.searchsorted(row_start, start, side="right")) - 1
+        last = int(np.searchsorted(row_start, stop - 1, side="right"))
+        counts = np.diff(np.clip(row_start[first:last + 1], start, stop))
+        i = np.repeat(np.arange(first, last), counts)
+        j = np.arange(start, stop) - row_start[i] + i + 1
+        # latents come from rng.uniform, inside [0, 1): no range check needed
+        hit = rng.random(stop - start) < _kernel(spec, latent[i], latent[j])
+        heads.append(i[hit])
+        tails.append(j[hit])
+    return latent, np.concatenate(heads), np.concatenate(tails)
 
 
 def sample_collection(spec: Graphon, sizes, seed: int) -> tuple[GraphCollection, tuple]:

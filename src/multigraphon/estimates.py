@@ -32,6 +32,8 @@ class StepEstimate:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
             raise ValueError("estimate values must be a square matrix")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("estimate values must be finite")
         if not np.array_equal(v, v.T):
             raise ValueError("estimate values must be symmetric")
         if np.any(v < 0.0) or np.any(v > 1.0):
@@ -43,6 +45,14 @@ class StepEstimate:
         return self.values.shape[0]
 
 
+def _source_cells(k: int, resolution: int) -> np.ndarray:
+    """Source cell (of k equal cells) holding the midpoint of each of the
+    ``resolution`` target cells; non-decreasing, so each source cell owns a
+    contiguous run of target cells."""
+    mids = (np.arange(resolution) + 0.5) / resolution
+    return np.minimum((mids * k).astype(np.int64), k - 1)
+
+
 def resample_grid(values: np.ndarray, resolution: int) -> np.ndarray:
     """Piecewise-constant resampling of a square step grid to resolution x resolution.
 
@@ -50,9 +60,7 @@ def resample_grid(values: np.ndarray, resolution: int) -> np.ndarray:
     treating the source as a step function on equal-width cells.
     """
     values = np.asarray(values, dtype=float)
-    k = values.shape[0]
-    mids = (np.arange(resolution) + 0.5) / resolution
-    src = np.minimum((mids * k).astype(np.int64), k - 1)
+    src = _source_cells(values.shape[0], resolution)
     return values[np.ix_(src, src)]
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from multigraphon.bench import (
     ExperimentConfig,
     SizeSpec,
+    _worker_count,
     collection_seed,
     run_benchmark,
     summarize,
@@ -298,6 +300,23 @@ class TestCli:
         monkeypatch.setenv("MULTIGRAPHON_JOBS", "2")
         main(args + [str(parallel)])
         assert strip_timing(read_rows(serial)) == strip_timing(read_rows(parallel))
+
+    @pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
+    def test_bad_jobs_setting_rejected(self, monkeypatch, value):
+        # rejected before a worker pool starts
+        monkeypatch.setenv("MULTIGRAPHON_JOBS", value)
+        cfg = ExperimentConfig(graphon_ids=(1,), num_graphs=2, sizes=SizeSpec("fixed", n=4),
+                               trials=2, seed=0, resolution=20)
+        with pytest.raises(ValueError, match=f"MULTIGRAPHON_JOBS.*{re.escape(repr(value))}"):
+            run_benchmark(cfg)
+
+    @pytest.mark.parametrize("value, workers", [(None, 1), ("", 1), (" 3 ", 3), ("64", 5)])
+    def test_jobs_setting_capped_at_cells(self, monkeypatch, value, workers):
+        if value is None:
+            monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("MULTIGRAPHON_JOBS", value)
+        assert _worker_count(5) == workers
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

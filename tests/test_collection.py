@@ -12,7 +12,7 @@ from multigraphon.collection import (
     sample_collection,
     save_collection,
 )
-from multigraphon.graphons import Graphon
+from multigraphon.graphons import Graphon, graphon_eval
 from multigraphon.jgs import jgs_histogram, jgs_histogram_naive, joint_sort, normalized_degrees
 
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
@@ -88,6 +88,35 @@ class TestSampling:
     def test_edge_count_bound(self, n, seed):
         coll, _ = sample_collection(Graphon.analytic(11), [n], seed=seed)
         assert coll.graphs[0].edge_count <= n * (n - 1) // 2
+
+
+def reference_sample(spec, sizes, seed):
+    """The sampler by its definition: one rng.random call per graph over
+    np.triu_indices, probabilities from the range-checked graphon_eval."""
+    latents, edges = [], []
+    for m, n in enumerate(sizes):
+        rng = np.random.default_rng([seed, m])
+        u = rng.uniform(size=n)
+        iu, ju = np.triu_indices(n, k=1)
+        hit = rng.random(iu.size) < np.asarray(graphon_eval(spec, u[iu], u[ju]))
+        latents.append(u)
+        edges.append(np.column_stack([iu[hit], ju[hit]]))
+    return latents, edges
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Graphon.analytic(1), Graphon.analytic(10), Graphon.analytic(12), Graphon.step([[0.7, 0.1], [0.1, 0.4]])],
+    ids=["w1", "w10", "w12", "step"],
+)
+def test_sampler_matches_reference(spec):
+    # n=363 has 65703 dyads: one chunk boundary of the sampler
+    sizes = [1, 2, 3, 362, 363, 1000]
+    coll, latent = sample_collection(spec, sizes, seed=21)
+    ref_latent, ref_edges = reference_sample(spec, sizes, 21)
+    for m in range(len(sizes)):
+        assert np.array_equal(latent[m], ref_latent[m])
+        assert np.array_equal(coll.graphs[m].edges, ref_edges[m])
 
 
 class TestJsonl:

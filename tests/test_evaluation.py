@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multigraphon.collection import sample_collection
+from multigraphon.estimates import resample_grid
 from multigraphon.evaluation import (
     eta_bound,
     evaluate_estimate,
@@ -11,7 +15,7 @@ from multigraphon.evaluation import (
     mise,
     rank_discrepancy,
 )
-from multigraphon.graphons import Graphon, canonical_rearrangement, eval_grid
+from multigraphon.graphons import ANALYTIC_IDS, Graphon, canonical_rearrangement, eval_grid
 from multigraphon.jgs import estimate_jgs, joint_sort, normalized_degrees
 
 
@@ -45,6 +49,18 @@ class TestMise:
         m12 = mise(est, truth, 12)
         m24 = mise(est, truth, 24)
         assert abs(m12 - m24) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), gid=st.sampled_from(ANALYTIC_IDS))
+    def test_equals_resampled_squared_difference(self, data, gid):
+        # bit for bit, not approx: mise is this expression evaluated in one buffer
+        k = data.draw(st.integers(1, 12))
+        r = data.draw(st.integers(max(k, 2), 160))
+        upper = np.triu(data.draw(arrays(float, (k, k), elements=st.floats(0.0, 1.0))))
+        values = upper + np.triu(upper, 1).T
+        truth = Graphon.analytic(gid)
+        expected = float(np.mean((resample_grid(values, r) - canonical_rearrangement(truth, r).grid) ** 2))
+        assert mise(values, truth, r) == expected
 
     def test_resolution_precondition(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from multigraphon import graphons
 from multigraphon.graphons import (
     ANALYTIC_IDS,
     Graphon,
@@ -137,3 +138,40 @@ class TestCanonicalRearrangement:
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             canonical_rearrangement(Graphon.analytic(1), 1)
+
+
+def _reference_rearrangement(spec, resolution):
+    # the uncached definition: full grid, stable argsort of row means, permute
+    grid = eval_grid(spec, resolution)
+    order = np.argsort(grid.mean(axis=1), kind="stable")
+    return grid[np.ix_(order, order)]
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 250, 1000])
+def test_cached_rearrangement_matches_reference(resolution):
+    for gid in ANALYTIC_IDS:
+        out = canonical_rearrangement(Graphon.analytic(gid), resolution)
+        assert np.array_equal(out.grid, _reference_rearrangement(Graphon.analytic(gid), resolution))
+        assert canonical_rearrangement(Graphon.analytic(gid), resolution) is out
+        with pytest.raises(ValueError):
+            out.grid[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("resolution", [4, 7, 300])
+def test_step_rearrangement_not_cached(resolution):
+    rng = np.random.default_rng(5)
+    for grid in ([[0.9, 0.2], [0.2, 0.1]], rng.random((5, 5))):
+        spec = Graphon.step((np.asarray(grid) + np.asarray(grid).T) / 2)
+        first = canonical_rearrangement(spec, resolution)
+        second = canonical_rearrangement(spec, resolution)
+        assert first is not second
+        assert first.grid.flags.writeable
+        assert np.array_equal(first.grid, _reference_rearrangement(spec, resolution))
+
+
+def test_fine_resolution_not_cached(monkeypatch):
+    monkeypatch.setattr(graphons, "_CACHE_MAX_RESOLUTION", 8)
+    first = canonical_rearrangement(Graphon.analytic(3), 9)
+    assert first is not canonical_rearrangement(Graphon.analytic(3), 9)
+    assert first.grid.flags.writeable
+    assert np.array_equal(first.grid, _reference_rearrangement(Graphon.analytic(3), 9))

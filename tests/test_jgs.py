@@ -180,6 +180,15 @@ class TestHistogram:
         with pytest.raises(ValueError):
             StepEstimate(np.zeros((0, 0)), "x", 1, 1, 1)
 
+    @pytest.mark.parametrize("text", ["0.1,nan\nnan,0.2\n", "0.1,inf\ninf,0.2\n", "nan\n"])
+    def test_non_finite_estimate_file_rejected_as_such(self, tmp_path, text):
+        from multigraphon.estimates import load_estimate
+
+        path = tmp_path / "est.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="estimate values must be finite"):
+            load_estimate(path)
+
 
 class TestNaiveOracle:
     def test_matches_examples(self):
