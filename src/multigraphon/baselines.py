@@ -37,6 +37,12 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     Returns (eigenvalues, eigenvectors) with a ~ V @ diag(w) @ V.T.
     Sweeps rotate every upper-triangle pair; convergence is declared when
     the off-diagonal Frobenius norm drops below ``tol``.
+
+    The input must be exactly symmetric, and every rotation keeps it so: the
+    row update of pair (p, q) repeats, value for value, the column update
+    just made outside the 2x2 block. So only columns are rotated, those of
+    ``a`` and ``v`` together as rows of one transposed stack, and the rows
+    are copied from them.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -44,10 +50,11 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, atol=0.0, rtol=0.0, equal_nan=False):
         raise ValueError("matrix must be symmetric")
-    a = a.copy()
-    v = np.eye(n)
     if n == 1:
-        return np.diag(a).copy(), v
+        return np.diag(a).copy(), np.eye(1)
+    # row j holds column j of a, then column j of v
+    cols = np.concatenate([a.T, np.eye(n)], axis=1)
+    at = cols[:, :n]
 
     def off_norm(m):
         # summed directly over off-diagonal entries; subtracting the diagonal
@@ -57,30 +64,28 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
         return float(np.linalg.norm(od))
 
     for _ in range(max_sweeps):
-        if off_norm(a) <= tol:
-            return np.diag(a).copy(), v
+        if off_norm(at) <= tol:
+            return np.diag(at).copy(), cols[:, n:].T.copy()
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = at[p, q]
                 if apq == 0.0:
                     continue
-                phi = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
+                phi = 0.5 * math.atan2(2.0 * apq, at[q, q] - at[p, p])
                 c, s = math.cos(phi), math.sin(phi)
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if off_norm(a) <= tol:
-        return np.diag(a).copy(), v
+                col_p, col_q = cols[p], cols[q]
+                cols[p], cols[q] = c * col_p - s * col_q, s * col_p + c * col_q
+                app = c * at[p, p] - s * at[p, q]
+                aqq = s * at[q, p] + c * at[q, q]
+                at[:, p] = at[p]
+                at[:, q] = at[q]
+                at[p, p], at[q, q] = app, aqq
+                at[p, q] = at[q, p] = 0.0
+    if off_norm(at) <= tol:
+        return np.diag(at).copy(), cols[:, n:].T.copy()
     raise ArithmeticError(
         f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-        f"(n={n}, off-diagonal norm {off_norm(a):.3e}, tol {tol:.1e})"
+        f"(n={n}, off-diagonal norm {off_norm(at):.3e}, tol {tol:.1e})"
     )
 
 
@@ -181,6 +186,18 @@ def _poolable_graphs(collection: GraphCollection) -> list[Graph]:
     return graphs
 
 
+def _smooth_by_shape(blocks: list[np.ndarray], params: TvParams) -> list[np.ndarray]:
+    """``tv_smooth`` of every matrix, in one batched call per shape."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, b in enumerate(blocks):
+        groups.setdefault(b.shape, []).append(i)
+    out = [None] * len(blocks)
+    for members in groups.values():
+        for i, smoothed in zip(members, tv_smooth(np.stack([blocks[i] for i in members]), params)):
+            out[i] = smoothed
+    return out
+
+
 def estimate_sas_pool(
     collection: GraphCollection,
     h: int | None = None,
@@ -191,14 +208,16 @@ def estimate_sas_pool(
 
     Bin width defaults to ceil(ln n_max) shared by every graph. Size-1
     graphs carry no dyad information and are skipped. The common grid
-    defaults to the finest per-graph estimate.
+    defaults to the finest per-graph estimate. Equal to pooling
+    ``sas_single`` of every graph, byte for byte; the TV smoothing of
+    same-shape block matrices runs as one batch.
     """
     t0 = time.perf_counter()
     graphs = _poolable_graphs(collection)
     n_max = max(g.n for g in graphs)
     if h is None:
         h = max(1, math.ceil(math.log(n_max)))
-    ests = [sas_single(g, h=h, lam=lam) for g in graphs]
+    ests = _smooth_by_shape([sas_single(g, h=h, smooth=False) for g in graphs], TvParams(lam=lam))
     if resolution is None:
         resolution = max(e.shape[0] for e in ests)
     pooled = pool_estimates(ests, resolution)

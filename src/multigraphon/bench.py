@@ -31,6 +31,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultRecord",
     "collection_seed",
+    "jobs_setting",
     "run_benchmark",
     "write_results_csv",
     "summarize",
@@ -227,9 +228,9 @@ def _cells(cfg: ExperimentConfig):
                 yield gid, sv, trial
 
 
-def _worker_count(cells: int) -> int:
-    """Worker processes for ``cells`` cells: MULTIGRAPHON_JOBS (unset or
-    empty means 1), capped at the number of cells."""
+def jobs_setting() -> int:
+    """The MULTIGRAPHON_JOBS worker count: a positive integer, and 1 when
+    unset or empty; anything else raises ValueError."""
     text = os.environ.get(JOBS_ENV_VAR, "").strip()
     try:
         jobs = int(text) if text else 1
@@ -237,7 +238,13 @@ def _worker_count(cells: int) -> int:
         jobs = 0
     if jobs < 1:
         raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {text!r}")
-    return min(jobs, cells)
+    return jobs
+
+
+def _worker_count(cells: int) -> int:
+    """Worker processes for ``cells`` cells: the jobs setting capped at the
+    number of cells."""
+    return min(jobs_setting(), cells)
 
 
 def run_benchmark(cfg: ExperimentConfig) -> list[ResultRecord]:

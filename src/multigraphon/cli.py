@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,13 +58,7 @@ def _run_method(args, coll) -> StepEstimate:
 
 def cmd_estimate(args) -> int:
     coll, _, sidecar = load_collection(args.collection)
-    est = _run_method(args, coll)
-    est = StepEstimate(
-        values=est.values, method=est.method, n_total=est.n_total,
-        n_graphs=est.n_graphs, dyad_count=est.dyad_count, params=est.params,
-        elapsed_seconds=est.elapsed_seconds, empty_blocks=est.empty_blocks,
-        seed=sidecar.get("seed"),
-    )
+    est = replace(_run_method(args, coll), seed=sidecar.get("seed"))
     save_estimate(est, args.out)
     print(f"method {est.method}: k={est.params.get('k', est.k)} elapsed {est.elapsed_seconds:.4f}s -> {args.out}")
     return 0
@@ -75,11 +70,7 @@ def cmd_smooth(args) -> int:
     method = est.method if est.method.endswith("-smooth") else est.method + "-smooth"
     params = dict(est.params)
     params["lambda"] = args.lam
-    out = StepEstimate(
-        values=smoothed, method=method, n_total=est.n_total, n_graphs=est.n_graphs,
-        dyad_count=est.dyad_count, params=params, elapsed_seconds=est.elapsed_seconds,
-        empty_blocks=est.empty_blocks, seed=est.seed,
-    )
+    out = replace(est, values=smoothed, method=method, params=params)
     save_estimate(out, args.out)
     print(f"smoothed {args.estimate} (lambda={args.lam}) -> {args.out}")
     return 0
@@ -126,20 +117,27 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = ExperimentConfig(
-        graphon_ids=args.graphon,
-        num_graphs=args.M,
-        sizes=SizeSpec.parse(args.sizes),
-        trials=args.trials,
-        seed=args.seed,
-        methods=tuple(args.method),
-        k=args.k,
-        lam=args.lam,
-        resolution=args.res,
-        sweep=args.sweep,
-        sweep_values=_int_list(args.values) if args.values else (),
-        pool_resolution=args.pool_res,
-    )
+    try:
+        cfg = ExperimentConfig(
+            graphon_ids=args.graphon,
+            num_graphs=args.M,
+            sizes=SizeSpec.parse(args.sizes),
+            trials=args.trials,
+            seed=args.seed,
+            methods=tuple(args.method),
+            k=args.k,
+            lam=args.lam,
+            resolution=args.res,
+            sweep=args.sweep,
+            sweep_values=_int_list(args.values) if args.values else (),
+            pool_resolution=args.pool_res,
+        )
+        for gid in cfg.graphon_ids:
+            Graphon.analytic(gid)
+        bench.jobs_setting()
+    except ValueError as exc:  # an input error: one line, like argparse's, and no work
+        print(f"multigraphon: error: {exc}", file=sys.stderr)
+        return 2
     records = bench.run_benchmark(cfg)
     bench.write_results_csv(records, args.out)
     failures = [r for r in records if r.error]
@@ -147,7 +145,7 @@ def cmd_benchmark(args) -> int:
         print(f"failed: graphon {r.graphon_id} method {r.method}: {r.error}", file=sys.stderr)
     print(bench.format_summary(bench.summarize(records)))
     print(f"{len(records)} rows ({len(failures)} failed) -> {args.out}")
-    return 0
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

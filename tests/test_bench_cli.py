@@ -331,3 +331,44 @@ class TestCli:
         write_results_csv(records, path)
         rows = read_rows(path)
         assert float(rows[1][6]) == records[0].mise  # repr round-trips exactly
+
+
+class TestCliExitStatus:
+    @pytest.mark.parametrize("args, jobs, message", [
+        (["--graphon", "1", "--sizes", "bogus"], None,
+         "bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
+        (["--graphon", "1", "--sizes", "fixed:6"], "x",
+         "MULTIGRAPHON_JOBS must be a positive integer, got 'x'"),
+        (["--graphon", "1,99", "--sizes", "fixed:6"], None, "unknown analytic graphon id 99"),
+    ], ids=["sizes", "jobs", "graphon"])
+    def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     args, jobs, message):
+        def refuse(cfg):
+            raise AssertionError("benchmark work started")
+
+        monkeypatch.setattr("multigraphon.bench.run_benchmark", refuse)
+        if jobs is None:
+            monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("MULTIGRAPHON_JOBS", jobs)
+        out = tmp_path / "rows.csv"
+        argv = ["benchmark", "--M", "2", "--trials", "1", "--method", "jgs", "--res", "40",
+                "--out", str(out)] + args
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+        assert not out.exists()
+
+    def test_failed_rows_give_exit_status_1(self, tmp_path, capsys, monkeypatch):
+        # the failure of TestBenchmark.test_failures_recorded_not_raised, reached
+        # cheaply: the evaluation resolution (100) lies below the pooled usvt-pool
+        # grid, here set by --pool-res instead of by graphs of 150 nodes
+        monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
+        out = tmp_path / "rows.csv"
+        args = ["benchmark", "--graphon", "1", "--M", "3", "--sizes", "fixed:12", "--trials", "1",
+                "--seed", "5", "--method", "jgs", "--method", "usvt-pool", "--res", "100",
+                "--pool-res", "150", "--out", str(out)]
+        assert main(args) == 1
+        rows = read_rows(out)
+        assert [r[5] for r in rows[1:]] == ["jgs", "usvt-pool"]
+        assert rows[1][6] != "" and rows[2][6] == ""  # the failed row is kept, without a mise
+        assert "failed: graphon 1 method usvt-pool" in capsys.readouterr().err
