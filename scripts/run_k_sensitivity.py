@@ -12,13 +12,11 @@ import numpy as np
 from multigraphon.bench import (
     ExperimentConfig,
     SizeSpec,
-    collection_seed,
+    estimate,
     run_benchmark,
+    sample_cell,
     write_results_csv,
 )
-from multigraphon.collection import sample_collection
-from multigraphon.graphons import Graphon
-from multigraphon.jgs import estimate_jgs
 
 
 def main() -> None:
@@ -54,13 +52,10 @@ def main() -> None:
     for k in sorted(by_k):
         print(f"{k:>4} {np.mean(by_k[k]) * 1e3:>16.3f}")
 
-    sizes_spec = SizeSpec.parse(args.sizes)
     auto_ks = []
     for trial in range(args.trials):
-        sizes = sizes_spec.draw(np.random.default_rng([args.seed, args.graphon, trial, 0]), args.M)
-        coll, _ = sample_collection(Graphon.analytic(args.graphon), sizes,
-                                    collection_seed(args.seed, args.graphon, trial))
-        auto_ks.append(estimate_jgs(coll, k="auto").params["k"])
+        coll, _, _ = sample_cell(args.seed, args.graphon, trial, cfg.sizes, args.M)
+        auto_ks.append(estimate("jgs", coll).params["k"])
     print(f"automatic rule selects k = {sorted(set(auto_ks))}")
     print(f"{len(records)} rows -> {args.out}")
 

@@ -7,7 +7,6 @@ two classical pooled baselines, evaluation metrics, and a benchmark CLI
 round out the package.
 """
 from .baselines import (
-    PooledEstimate,
     estimate_sas_pool,
     estimate_usvt_pool,
     jacobi_eigh,
@@ -54,7 +53,6 @@ __all__ = [
     "GraphCollection",
     "Graphon",
     "JointOrdering",
-    "PooledEstimate",
     "ResultRecord",
     "SizeSpec",
     "StepEstimate",

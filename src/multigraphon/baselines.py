@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "jacobi_eigh",
     "sas_single",
     "usvt_single",
-    "PooledEstimate",
     "pool_estimates",
     "estimate_sas_pool",
     "estimate_usvt_pool",
@@ -153,21 +151,13 @@ def usvt_single(graph: Graph, tau: float | None = None, n_ref: int | None = None
     return np.clip(recon, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class PooledEstimate:
-    grid: np.ndarray = field(repr=False)
-
-    @property
-    def resolution(self) -> int:
-        return self.grid.shape[0]
-
-
-def pool_estimates(per_graph, resolution: int) -> PooledEstimate:
+def pool_estimates(per_graph, resolution: int) -> np.ndarray:
     """Average per-graph step estimates on a common grid.
 
     Each input is degree-sorted (rows and columns ordered by ascending row
     mean), resampled to resolution x resolution piecewise-constantly, and
-    the results are averaged with equal weight per graph.
+    the results are averaged with equal weight per graph into the returned
+    resolution x resolution array.
     """
     mats = [np.asarray(e, dtype=float) for e in per_graph]
     if not mats:
@@ -176,7 +166,7 @@ def pool_estimates(per_graph, resolution: int) -> PooledEstimate:
     for e in mats:
         order = np.argsort(e.mean(axis=1), kind="stable")
         acc += resample_grid(e[np.ix_(order, order)], resolution)
-    return PooledEstimate(acc / len(mats))
+    return acc / len(mats)
 
 
 def _poolable_graphs(collection: GraphCollection) -> list[Graph]:
@@ -223,7 +213,7 @@ def estimate_sas_pool(
     pooled = pool_estimates(ests, resolution)
     elapsed = time.perf_counter() - t0
     return StepEstimate(
-        values=pooled.grid,
+        values=pooled,
         method="sas-pool",
         n_total=collection.total_nodes,
         n_graphs=collection.num_graphs,
@@ -254,7 +244,7 @@ def estimate_usvt_pool(
     pooled = pool_estimates(ests, resolution)
     elapsed = time.perf_counter() - t0
     return StepEstimate(
-        values=pooled.grid,
+        values=pooled,
         method="usvt-pool",
         n_total=collection.total_nodes,
         n_graphs=collection.num_graphs,

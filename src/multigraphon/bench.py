@@ -14,6 +14,7 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
     "ExperimentConfig",
     "ResultRecord",
     "collection_seed",
+    "estimate",
+    "sample_cell",
     "jobs_setting",
     "run_benchmark",
     "write_results_csv",
@@ -70,12 +73,17 @@ class SizeSpec:
 
     @classmethod
     def parse(cls, text: str) -> "SizeSpec":
-        parts = text.split(":")
-        if parts[0] == "fixed" and len(parts) == 2:
-            return cls("fixed", n=int(parts[1]))
-        if parts[0] == "uniform" and len(parts) == 3:
-            return cls("uniform", lo=int(parts[1]), hi=int(parts[2]))
-        raise ValueError(f"bad size spec {text!r}; expected fixed:N or uniform:LO:HI")
+        bad = ValueError(f"bad size spec {text!r}; expected fixed:N or uniform:LO:HI")
+        kind, *fields = text.split(":")
+        try:
+            numbers = [int(x) for x in fields]
+        except ValueError:
+            raise bad from None
+        if kind == "fixed" and len(numbers) == 1:
+            return cls("fixed", n=numbers[0])
+        if kind == "uniform" and len(numbers) == 2:
+            return cls("uniform", lo=numbers[0], hi=numbers[1])
+        raise bad
 
     def label(self) -> str:
         if self.kind == "fixed":
@@ -108,6 +116,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.graphon_ids:
             raise ValueError("need at least one graphon id")
+        for gid in self.graphon_ids:
+            Graphon.analytic(gid)  # raises on an unknown id
         if not self.methods:
             raise ValueError("need at least one method")
         unknown = set(self.methods) - set(METHODS)
@@ -150,15 +160,35 @@ def collection_seed(master: int, graphon_id: int, trial: int) -> int:
     return int(np.random.SeedSequence([master, graphon_id, trial]).generate_state(1, np.uint64)[0])
 
 
-def _estimate(method: str, coll: GraphCollection, cfg: ExperimentConfig, k) -> StepEstimate:
+def sample_cell(seed: int, graphon_id: int, trial: int, sizes: SizeSpec,
+                num_graphs: int) -> tuple[GraphCollection, list, int]:
+    """The collection of one (graphon, trial) cell under master seed ``seed``,
+    drawn by the seeding rule of this module's docstring.
+
+    Returns the collection, its latent positions and its sub-seed.
+    """
+    sub = collection_seed(seed, graphon_id, trial)
+    drawn = sizes.draw(np.random.default_rng([seed, graphon_id, trial, 0]), num_graphs)
+    coll, latent = sample_collection(Graphon.analytic(graphon_id), drawn, sub)
+    return coll, latent, sub
+
+
+def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: float = 0.05,
+             pool_resolution: int | None = None) -> StepEstimate:
+    """Run one of :data:`METHODS` on a collection.
+
+    ``k`` is the jgs block count, ``lam`` the TV weight of ``jgs-smooth`` and
+    ``sas-pool``, and ``pool_resolution`` the common grid of the pooled
+    baselines (their finest per-graph estimate when None).
+    """
     if method == "jgs":
         return estimate_jgs(coll, k=k)
     if method == "jgs-smooth":
-        return estimate_jgs(coll, k=k, smoothing=TvParams(lam=cfg.lam))
+        return estimate_jgs(coll, k=k, smoothing=TvParams(lam=lam))
     if method == "sas-pool":
-        return estimate_sas_pool(coll, lam=cfg.lam, resolution=cfg.pool_resolution)
+        return estimate_sas_pool(coll, lam=lam, resolution=pool_resolution)
     if method == "usvt-pool":
-        return estimate_usvt_pool(coll, resolution=cfg.pool_resolution)
+        return estimate_usvt_pool(coll, resolution=pool_resolution)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -177,46 +207,27 @@ def _run_cell(cfg: ExperimentConfig, graphon_id: int, sweep_value: int | None, t
     """All methods for one (graphon, sweep value, trial): simulate once, then
     estimate and evaluate per method."""
     cell_cfg, k = _cell_config(cfg, sweep_value)
+    coll, latent, sub = sample_cell(cfg.seed, graphon_id, trial, cell_cfg.sizes, cell_cfg.num_graphs)
     spec = Graphon.analytic(graphon_id)
-    sub = collection_seed(cfg.seed, graphon_id, trial)
-    sizes = cell_cfg.sizes.draw(np.random.default_rng([cfg.seed, graphon_id, trial, 0]), cell_cfg.num_graphs)
-    coll, latent = sample_collection(spec, sizes, sub)
+    row = partial(ResultRecord, graphon_id=graphon_id, num_graphs=cell_cfg.num_graphs,
+                  size_label=cell_cfg.sizes.label(), seed=sub)
     records = []
     ordering = None  # the joint ordering MAE scores; shared by the jgs methods
     for method in cfg.methods:
         try:
-            est = _estimate(method, coll, cell_cfg, k)
+            est = estimate(method, coll, k, cfg.lam, cfg.pool_resolution)
             is_jgs = method in ("jgs", "jgs-smooth")
             if is_jgs and ordering is None:
                 ordering = joint_sort(normalized_degrees(coll))
             report = evaluate_estimate(est, spec, resolution=cfg.resolution,
                                        ordering=ordering if is_jgs else None, latent=latent)
-            records.append(ResultRecord(
-                graphon_id=graphon_id,
-                num_graphs=cell_cfg.num_graphs,
-                size_label=cell_cfg.sizes.label(),
-                seed=sub,
-                k=est.params.get("k"),
-                method=method,
-                mise=report.mise,
-                mae=report.mae_latent,
-                empty_frac=report.empty_block_fraction,
-                seconds=report.elapsed_seconds,
-            ))
         except Exception as exc:  # record the failure, keep the run going
-            records.append(ResultRecord(
-                graphon_id=graphon_id,
-                num_graphs=cell_cfg.num_graphs,
-                size_label=cell_cfg.sizes.label(),
-                seed=sub,
-                k=None,
-                method=method,
-                mise=None,
-                mae=None,
-                empty_frac=None,
-                seconds=None,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
+            records.append(row(method=method, k=None, mise=None, mae=None, empty_frac=None,
+                               seconds=None, error=f"{type(exc).__name__}: {exc}"))
+        else:
+            records.append(row(method=method, k=est.params.get("k"), mise=report.mise,
+                               mae=report.mae_latent, empty_frac=report.empty_block_fraction,
+                               seconds=report.elapsed_seconds))
     return records
 
 

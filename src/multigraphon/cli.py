@@ -17,18 +17,20 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench
-from .baselines import estimate_sas_pool, estimate_usvt_pool
-from .bench import ExperimentConfig, ResultRecord, SizeSpec, collection_seed
-from .collection import load_collection, sample_collection, save_collection
-from .estimates import StepEstimate, load_estimate, save_estimate
-from .evaluation import mae_latent, mise
+from .bench import ExperimentConfig, ResultRecord, SizeSpec
+from .collection import load_collection, save_collection
+from .estimates import load_estimate, save_estimate
+from .evaluation import evaluate_estimate
 from .graphons import ANALYTIC_IDS, Graphon
-from .jgs import estimate_jgs, joint_sort, normalized_degrees
+from .jgs import joint_sort, normalized_degrees
 from .tv import TvParams, tv_smooth
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(",", " ").split())
+def _int_list(text: str, option: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"{option} expects comma-separated integers, got {text!r}") from None
 
 
 def _parse_k(text: str):
@@ -36,29 +38,15 @@ def _parse_k(text: str):
 
 
 def cmd_simulate(args) -> int:
-    spec = Graphon.analytic(args.graphon)
-    sizes_spec = SizeSpec.parse(args.sizes)
-    seed = collection_seed(args.seed, args.graphon, 0)
-    sizes = sizes_spec.draw(np.random.default_rng([args.seed, args.graphon, 0, 0]), args.M)
-    coll, latent = sample_collection(spec, sizes, seed)
+    coll, latent, seed = bench.sample_cell(args.seed, args.graphon, 0, SizeSpec.parse(args.sizes), args.M)
     save_collection(coll, args.out, latent=latent, graphon_id=args.graphon, seed=seed)
     print(f"wrote {coll.num_graphs} graphs ({coll.total_nodes} nodes) to {args.out}")
     return 0
 
 
-def _run_method(args, coll) -> StepEstimate:
-    if args.method == "jgs":
-        return estimate_jgs(coll, k=args.k)
-    if args.method == "jgs-smooth":
-        return estimate_jgs(coll, k=args.k, smoothing=TvParams(lam=getattr(args, "lam")))
-    if args.method == "sas-pool":
-        return estimate_sas_pool(coll, lam=getattr(args, "lam"), resolution=args.pool_res)
-    return estimate_usvt_pool(coll, resolution=args.pool_res)
-
-
 def cmd_estimate(args) -> int:
     coll, _, sidecar = load_collection(args.collection)
-    est = replace(_run_method(args, coll), seed=sidecar.get("seed"))
+    est = replace(bench.estimate(args.method, coll, args.k, args.lam, args.pool_res), seed=sidecar.get("seed"))
     save_estimate(est, args.out)
     print(f"method {est.method}: k={est.params.get('k', est.k)} elapsed {est.elapsed_seconds:.4f}s -> {args.out}")
     return 0
@@ -84,8 +72,7 @@ def cmd_evaluate(args) -> int:
     else:
         truth = Graphon.step(np.loadtxt(args.truth, delimiter=",", ndmin=2))
         gid = -1
-    value = mise(est, truth, resolution=args.res)
-    mae = None
+    ordering = latent = None
     if args.mae:
         if args.collection is None:
             raise SystemExit("--mae requires --collection")
@@ -93,7 +80,7 @@ def cmd_evaluate(args) -> int:
         if latent is None:
             raise SystemExit(f"--mae requested but no latent sidecar found for {args.collection}")
         ordering = joint_sort(normalized_degrees(coll))
-        mae = mae_latent(ordering, latent)
+    report = evaluate_estimate(est, truth, resolution=args.res, ordering=ordering, latent=latent)
     rec = ResultRecord(
         graphon_id=gid,
         num_graphs=est.n_graphs,
@@ -101,10 +88,10 @@ def cmd_evaluate(args) -> int:
         seed=est.seed if est.seed is not None else 0,
         k=est.params.get("k", est.k),
         method=est.method,
-        mise=value,
-        mae=mae,
-        empty_frac=est.empty_blocks / est.k**2,
-        seconds=est.elapsed_seconds,
+        mise=report.mise,
+        mae=report.mae_latent,
+        empty_frac=report.empty_block_fraction,
+        seconds=report.elapsed_seconds,
     )
     exists = os.path.exists(args.out)
     with open(args.out, "a", newline="") as fh:
@@ -112,32 +99,27 @@ def cmd_evaluate(args) -> int:
         if not exists:
             writer.writerow(bench.RESULT_COLUMNS)
         writer.writerow(rec.row())
-    print(f"mise {value:.6g}" + (f" mae {mae:.6g}" if mae is not None else "") + f" -> {args.out}")
+    mae = "" if rec.mae is None else f" mae {rec.mae:.6g}"
+    print(f"mise {rec.mise:.6g}{mae} -> {args.out}")
     return 0
 
 
 def cmd_benchmark(args) -> int:
-    try:
-        cfg = ExperimentConfig(
-            graphon_ids=args.graphon,
-            num_graphs=args.M,
-            sizes=SizeSpec.parse(args.sizes),
-            trials=args.trials,
-            seed=args.seed,
-            methods=tuple(args.method),
-            k=args.k,
-            lam=args.lam,
-            resolution=args.res,
-            sweep=args.sweep,
-            sweep_values=_int_list(args.values) if args.values else (),
-            pool_resolution=args.pool_res,
-        )
-        for gid in cfg.graphon_ids:
-            Graphon.analytic(gid)
-        bench.jobs_setting()
-    except ValueError as exc:  # an input error: one line, like argparse's, and no work
-        print(f"multigraphon: error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig(
+        graphon_ids=_int_list(args.graphon, "--graphon"),
+        num_graphs=args.M,
+        sizes=SizeSpec.parse(args.sizes),
+        trials=args.trials,
+        seed=args.seed,
+        methods=tuple(args.method),
+        k=args.k,
+        lam=args.lam,
+        resolution=args.res,
+        sweep=args.sweep,
+        sweep_values=_int_list(args.values, "--values") if args.values else (),
+        pool_resolution=args.pool_res,
+    )
+    bench.jobs_setting()
     records = bench.run_benchmark(cfg)
     bench.write_results_csv(records, args.out)
     failures = [r for r in records if r.error]
@@ -190,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="full simulate/estimate/evaluate loops")
-    p.add_argument("--graphon", type=_int_list, required=True, help="comma-separated ids")
+    p.add_argument("--graphon", required=True, help="comma-separated ids")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--sizes", required=True, help="fixed:N or uniform:LO:HI")
     p.add_argument("--trials", type=int, default=20)
@@ -209,8 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Bad input (a ValueError or OSError from any
+    subcommand) is reported on one line, ``multigraphon: error: <message>``,
+    with exit status 2, as argparse reports its own errors."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"multigraphon: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ canonical representative of the truth on a common fine grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,13 +114,12 @@ def rank_discrepancy(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One evaluated trial: accuracy metrics plus the configuration echo."""
+    """One evaluated trial: its accuracy metrics and the estimator's time."""
 
     mise: float
     mae_latent: float | None
     empty_block_fraction: float
     elapsed_seconds: float
-    config: dict = field(default_factory=dict)
 
 
 def evaluate_estimate(
@@ -129,7 +128,6 @@ def evaluate_estimate(
     resolution: int = 1000,
     ordering: JointOrdering | None = None,
     latent=None,
-    config: dict | None = None,
 ) -> EvalReport:
     """Score one step estimate; latent MAE is included when both the joint
     ordering and the true positions are available."""
@@ -141,5 +139,4 @@ def evaluate_estimate(
         mae_latent=mae,
         empty_block_fraction=estimate.empty_blocks / estimate.k**2,
         elapsed_seconds=estimate.elapsed_seconds,
-        config=dict(config or {}),
     )

@@ -153,15 +153,15 @@ class TestPooling:
     def test_single_input_is_resampled_input(self):
         e = np.array([[0.1, 0.4], [0.4, 0.8]])
         pooled = pool_estimates([e], 4)
-        assert np.array_equal(pooled.grid, np.repeat(np.repeat(e, 2, 0), 2, 1))
+        assert np.array_equal(pooled, np.repeat(np.repeat(e, 2, 0), 2, 1))
 
     def test_constant_average(self):
         pooled = pool_estimates([np.full((2, 2), 0.2), np.full((3, 3), 0.6)], 6)
-        assert np.allclose(pooled.grid, 0.4)
+        assert np.allclose(pooled, 0.4)
 
     def test_one_cell_to_grid(self):
         pooled = pool_estimates([np.array([[0.5]])], 4)
-        assert np.array_equal(pooled.grid, np.full((4, 4), 0.5))
+        assert np.array_equal(pooled, np.full((4, 4), 0.5))
 
     def test_pooled_is_exact_mean_of_resampled(self):
         rng = np.random.default_rng(9)
@@ -177,13 +177,13 @@ class TestPooling:
             order = np.argsort(m.mean(axis=1), kind="stable")
             manual += resample_grid(m[np.ix_(order, order)], 15)
         manual /= len(mats)
-        assert np.array_equal(pooled.grid, manual)
-        assert np.allclose(pooled.grid, pooled.grid.T)
+        assert np.array_equal(pooled, manual)
+        assert np.allclose(pooled, pooled.T)
 
     def test_degree_sorting_applied(self):
         e = np.array([[0.9, 0.5], [0.5, 0.1]])  # decreasing row means
         pooled = pool_estimates([e], 2)
-        assert np.array_equal(pooled.grid, e[::-1, ::-1].copy())
+        assert np.array_equal(pooled, e[::-1, ::-1].copy())
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,12 @@ class TestSizeSpec:
             with pytest.raises(ValueError):
                 SizeSpec.parse(text)
 
+    @pytest.mark.parametrize("text", ["fixed:x", "uniform:1:y"])
+    def test_bad_integer_names_the_spec(self, text):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad size spec {text!r}; expected fixed:N or uniform:LO:HI")):
+            SizeSpec.parse(text)
+
 
 class TestConfigValidation:
     def base(self, **kw):
@@ -72,6 +78,10 @@ class TestConfigValidation:
     def test_sweep_needs_values(self):
         with pytest.raises(ValueError):
             ExperimentConfig(**self.base(sweep="n"))
+
+    def test_unknown_graphon_rejected_before_any_cell(self):
+        with pytest.raises(ValueError, match="unknown analytic graphon id 99"):
+            ExperimentConfig(**self.base(graphon_ids=(1, 99)))
 
 
 class TestBenchmark:
@@ -142,8 +152,8 @@ class TestBenchmark:
     def test_failures_recorded_not_raised(self):
         # resolution below the pooled-estimate grid makes evaluation fail for
         # usvt-pool rows only; the run must still produce every row
-        cfg = self.small_cfg(methods=("jgs", "usvt-pool"), resolution=100,
-                             pool_resolution=None, sizes=SizeSpec("fixed", n=150),
+        cfg = self.small_cfg(methods=("jgs", "usvt-pool"), resolution=20,
+                             pool_resolution=None, sizes=SizeSpec("fixed", n=24),
                              graphon_ids=(1,), trials=1)
         records = run_benchmark(cfg)
         assert len(records) == 2
@@ -340,7 +350,9 @@ class TestCliExitStatus:
         (["--graphon", "1", "--sizes", "fixed:6"], "x",
          "MULTIGRAPHON_JOBS must be a positive integer, got 'x'"),
         (["--graphon", "1,99", "--sizes", "fixed:6"], None, "unknown analytic graphon id 99"),
-    ], ids=["sizes", "jobs", "graphon"])
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "x,y"], None,
+         "--values expects comma-separated integers, got 'x,y'"),
+    ], ids=["sizes", "jobs", "graphon", "values"])
     def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      args, jobs, message):
         def refuse(cfg):
@@ -359,9 +371,9 @@ class TestCliExitStatus:
         assert not out.exists()
 
     def test_failed_rows_give_exit_status_1(self, tmp_path, capsys, monkeypatch):
-        # the failure of TestBenchmark.test_failures_recorded_not_raised, reached
-        # cheaply: the evaluation resolution (100) lies below the pooled usvt-pool
-        # grid, here set by --pool-res instead of by graphs of 150 nodes
+        # the failure of TestBenchmark.test_failures_recorded_not_raised: the
+        # evaluation resolution (100) lies below the pooled usvt-pool grid, here
+        # set by --pool-res instead of by the graph size
         monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
         out = tmp_path / "rows.csv"
         args = ["benchmark", "--graphon", "1", "--M", "3", "--sizes", "fixed:12", "--trials", "1",
@@ -372,3 +384,21 @@ class TestCliExitStatus:
         assert [r[5] for r in rows[1:]] == ["jgs", "usvt-pool"]
         assert rows[1][6] != "" and rows[2][6] == ""  # the failed row is kept, without a mise
         assert "failed: graphon 1 method usvt-pool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["estimate", "evaluate", "simulate"])
+    def test_input_error_in_any_subcommand(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": 0, "n": 2.5, "edges": []}\n')
+        missing = tmp_path / "missing.csv"
+        argv, message = {
+            "estimate": (["estimate", "--collection", str(bad), "--method", "jgs",
+                          "--out", str(tmp_path / "est.csv")],
+                         f"{bad}: malformed collection record on line 1: n must be an integer, got 2.5"),
+            "evaluate": (["evaluate", "--estimate", str(missing), "--graphon", "1",
+                          "--out", str(tmp_path / "rows.csv")], f"{missing} not found."),
+            "simulate": (["simulate", "--graphon", "1", "--M", "2", "--sizes", "bogus",
+                          "--out", str(tmp_path / "c.jsonl")],
+                         "bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"

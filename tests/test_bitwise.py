@@ -274,6 +274,6 @@ def test_sas_pool_equals_per_graph_pooling():
         width = est.params["h"]
         singles = [sas_single(g, h=width, lam=lam) for g in coll.graphs if g.n >= 2]
         assert len({s.shape for s in singles}) > 2
-        want = pool_estimates(singles, max(s.shape[0] for s in singles)).grid
+        want = pool_estimates(singles, max(s.shape[0] for s in singles))
         assert same_bytes(est.values, want)
         assert est.params["skipped_singletons"] == 2

@@ -147,12 +147,10 @@ class TestEvaluateEstimate:
         coll, latent = sample_collection(spec, [25] * 4, seed=55)
         est = estimate_jgs(coll, k="auto")
         ordering = joint_sort(normalized_degrees(coll).per_graph)
-        report = evaluate_estimate(est, spec, resolution=200, ordering=ordering,
-                                   latent=latent, config={"seed": 55})
+        report = evaluate_estimate(est, spec, resolution=200, ordering=ordering, latent=latent)
         assert report.mise == mise(est, spec, resolution=200)
         assert report.mae_latent == mae_latent(ordering, latent)
         assert report.empty_block_fraction == est.empty_blocks / est.k**2
-        assert report.config == {"seed": 55}
 
     def test_mae_optional(self):
         spec = Graphon.analytic(1)
