@@ -75,10 +75,10 @@ def cmd_evaluate(args) -> int:
     ordering = latent = None
     if args.mae:
         if args.collection is None:
-            raise SystemExit("--mae requires --collection")
+            raise ValueError("--mae requires --collection")
         coll, latent, _ = load_collection(args.collection)
         if latent is None:
-            raise SystemExit(f"--mae requested but no latent sidecar found for {args.collection}")
+            raise ValueError(f"--mae requested but no latent sidecar found for {args.collection}")
         ordering = joint_sort(normalized_degrees(coll))
     report = evaluate_estimate(est, truth, resolution=args.res, ordering=ordering, latent=latent)
     rec = ResultRecord(

@@ -50,6 +50,12 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.asarray(counts, dtype=np.int64))))
 
 
+def _split(values: np.ndarray, offsets: np.ndarray) -> tuple:
+    """Per-graph views ``values[offsets[m]:offsets[m+1]]`` (np.split is ~5x slower)."""
+    bounds = offsets.tolist()
+    return tuple(values[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+
 def _graph_of(offsets: np.ndarray, position) -> int:
     """Index of the graph whose range in ``offsets`` holds ``position``."""
     return int(np.searchsorted(offsets, position, side="right")) - 1
@@ -207,34 +213,9 @@ def graph_rng(seed: int, m: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(m)])
 
 
-# dyads drawn per rng.random call; bounds the sampler's temporaries to a few
-# MB (a single pass over an n=1000 graph's 499500 dyads needs ~32 MB)
+# most pairs per chunk of the collection's pair stream; bounds the sampler's
+# working set (~70 bytes a pair) whatever the graph sizes
 _DYAD_CHUNK = 1 << 16
-
-
-def _sample_graph(spec: Graphon, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latent positions and the edges' endpoint columns (i, j) of one graph.
-
-    Pairs i < j are visited in row-major order, one chunk of dyads at a
-    time; chunked ``rng.random`` calls draw the same stream as one call.
-    """
-    latent = rng.uniform(size=n)
-    # pairs (i, i+1..n-1) of row i sit at positions row_start[i]..row_start[i+1]-1
-    row_start = _offsets(np.arange(n - 1, 0, -1))
-    total = int(row_start[-1])
-    heads, tails = [_EMPTY_EDGES[:, 0]], [_EMPTY_EDGES[:, 1]]
-    for start in range(0, total, _DYAD_CHUNK):
-        stop = min(start + _DYAD_CHUNK, total)
-        first = int(np.searchsorted(row_start, start, side="right")) - 1
-        last = int(np.searchsorted(row_start, stop - 1, side="right"))
-        counts = np.diff(np.clip(row_start[first:last + 1], start, stop))
-        i = np.repeat(np.arange(first, last), counts)
-        j = np.arange(start, stop) - row_start[i] + i + 1
-        # latents come from rng.uniform, inside [0, 1): no range check needed
-        hit = rng.random(stop - start) < _kernel(spec, latent[i], latent[j])
-        heads.append(i[hit])
-        tails.append(j[hit])
-    return latent, np.concatenate(heads), np.concatenate(tails)
 
 
 def sample_collection(spec: Graphon, sizes, seed: int) -> tuple[GraphCollection, tuple]:
@@ -243,24 +224,96 @@ def sample_collection(spec: Graphon, sizes, seed: int) -> tuple[GraphCollection,
     For each graph: latent positions are i.i.d. Uniform[0,1]; each pair
     i < j is an edge independently with probability W(U_i, U_j).
     Returns the collection together with the true latent positions
-    (one array per graph).
+    (one array per graph, views of one array).
+
+    Graph m draws from ``graph_rng(seed, m)`` its n latents, then one number
+    per pair i < j in row-major order.
     """
     sizes = [int(n) for n in sizes]
     if any(n < 1 for n in sizes):
         raise ValueError("all graph sizes must be >= 1")
-    latents, heads, tails = [], [], []
-    for m, n in enumerate(sizes):
-        latent, i, j = _sample_graph(spec, n, graph_rng(seed, m))
-        latents.append(latent)
-        heads.append(i)
-        tails.append(j)
-    counts = [i.size for i in heads]
-    local = np.empty((sum(counts), 2), dtype=np.int64)
-    if heads:
-        np.concatenate(heads, out=local[:, 0])
-        np.concatenate(tails, out=local[:, 1])
+    n = np.array(sizes, dtype=np.int64)
+    node_offsets = _offsets(n)
+    latent = np.empty(int(node_offsets[-1]))
+    heads, tails, counts = _sample_pairs(spec, n, node_offsets, seed, latent)
+    local = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    np.concatenate(heads, out=local[:, 0])
+    np.concatenate(tails, out=local[:, 1])
     del heads, tails
-    return GraphCollection.from_edge_lists(sizes, counts, local), tuple(latents)
+    coll = GraphCollection.from_edge_lists(sizes, counts, local)
+    return coll, _split(latent, node_offsets)
+
+
+def _sample_pairs(spec: Graphon, n: np.ndarray, node_offsets: np.ndarray, seed: int,
+                  latent: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """Draw the latents of graphs of sizes ``n`` into ``latent`` and their
+    edges; returns the edges' local endpoint columns (i, j), one array per
+    chunk, and the edge count of each graph.
+
+    The pairs of all graphs form one stream, walked in chunks: a chunk may
+    span many small graphs or part of a large one, and chunked
+    ``rng.random`` calls draw the same numbers as one call. A graph's
+    latents are drawn when the first chunk reaches it.
+    """
+    nodes = node_offsets.tolist()
+    graph_pairs = n * (n - 1) // 2
+    pair_offsets = _offsets(graph_pairs)
+    pairs = pair_offsets.tolist()
+    # one row per (graph, local i < n - 1): its pairs (i, i+1..n-1) sit at
+    # positions row_start[r]..row_start[r+1]-1 of the stream
+    row_i = np.arange(int(np.sum(n - 1))) - np.repeat(_offsets(n - 1)[:-1], n - 1)
+    row_node = np.repeat(node_offsets[:-1], n - 1) + row_i
+    row_start = _offsets(np.repeat(n - 1, n - 1) - row_i)
+    edge_counts = np.zeros(n.size, dtype=np.int64)
+
+    # a chunk holds the pairs of a largest graph, within [1 << 13, _DYAD_CHUNK]:
+    # small graphs keep a small working set, and a large graph's edges come in
+    # few large pieces. Under glibc malloc, chunks of 1 << 13 pairs raised the
+    # peak RSS of a run of n = 1000 cells by ~5 MB (hundreds of 16 KB edge
+    # pieces on the heap), and 1 << 16 that of Table-1 cells by ~0.7 MB
+    chunk = min(_DYAD_CHUNK, max(int(np.max(graph_pairs, initial=0)), 1 << 13))
+    size = min(chunk, pairs[-1])
+    steps = np.arange(size)
+    draw, other = np.empty(size), np.empty(size)
+    index, hit = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool)
+    heads, tails = [_EMPTY_EDGES[:, 0]], [_EMPTY_EDGES[:, 1]]
+    m, rng = -1, None
+    for start in range(0, pairs[-1], chunk):
+        stop = min(start + chunk, pairs[-1])
+        length = stop - start
+        first_graph = int(np.searchsorted(pair_offsets, start, side="right")) - 1
+        a = start
+        while a < stop:
+            while pairs[m + 1] <= a:
+                m += 1
+                rng = graph_rng(seed, m)
+                rng.random(out=latent[nodes[m]:nodes[m + 1]])
+            b = min(stop, pairs[m + 1])
+            rng.random(out=draw[a - start:b - start])
+            a = b
+        first = int(np.searchsorted(row_start, start, side="right")) - 1
+        last = int(np.searchsorted(row_start, stop - 1, side="right"))
+        rows = slice(first, last)
+        bounds = np.clip(row_start[first:last + 1], start, stop) - start
+        counts = np.diff(bounds)
+        # pair p of row r joins node row_node[r] to node p - row_start[r] + row_node[r] + 1
+        np.add(steps[:length], start, out=index[:length])
+        index[:length] -= np.repeat(row_start[rows] - row_node[rows] - 1, counts)
+        np.take(latent, index[:length], out=other[:length], mode="clip")
+        # latents come from rng.random, inside [0, 1): no range check needed
+        w = _kernel(spec, np.repeat(latent[row_node[rows]], counts), other[:length])
+        np.less(draw[:length], w, out=hit[:length])
+        tail = np.flatnonzero(hit[:length])
+        per_row = np.diff(np.searchsorted(tail, bounds))
+        graph_bounds = np.clip(pair_offsets[first_graph:m + 2], start, stop) - start
+        edge_counts[first_graph:m + 1] += np.diff(np.searchsorted(tail, graph_bounds))
+        tail += start
+        tail -= np.repeat(row_start[rows] - row_i[rows] - 1, per_row)
+        heads.append(np.repeat(row_i[rows], per_row))
+        tails.append(tail)
+    for m in range(m + 1, n.size):  # graphs after the last pair
+        graph_rng(seed, m).random(out=latent[nodes[m]:nodes[m + 1]])
+    return heads, tails, edge_counts
 
 
 def save_collection(
@@ -313,7 +366,9 @@ def load_collection(path) -> tuple[GraphCollection, tuple | None, dict]:
 
     Every record must carry an integer ``n``, integer edge endpoints and an
     ``id`` equal to its position among the records (0..M-1); any other
-    record is rejected with its line number.
+    record is rejected with its line number. A sidecar ``<path>.sidecar.json``,
+    if there is one, must list for each graph of n nodes its n latent
+    positions as JSON numbers in [0, 1].
     """
     sizes, counts, endpoints, linenos = [], [], [], []
     with open(path) as fh:
@@ -337,14 +392,35 @@ def load_collection(path) -> tuple[GraphCollection, tuple | None, dict]:
         ) from exc
     except OverflowError as exc:
         raise ValueError(f"{path}: integer out of range: {exc}") from exc
-    latent = None
-    sidecar: dict = {}
     try:
         with open(str(path) + ".sidecar.json") as fh:
             sidecar = json.load(fh)
-        latent = tuple(np.asarray(u, dtype=float) for u in sidecar.get("latent", []))
-        if len(latent) != collection.num_graphs:
-            raise ValueError(f"{path}: sidecar latent count does not match collection")
     except FileNotFoundError:
-        pass
-    return collection, latent, sidecar
+        return collection, None, {}
+    return collection, _parse_latent(sidecar, collection, path), sidecar
+
+
+def _parse_latent(sidecar, collection: GraphCollection, path) -> tuple:
+    """The sidecar's latent positions, one array per graph (views of one
+    array): n JSON numbers in [0, 1] for each graph of n nodes."""
+    lists = sidecar.get("latent") if type(sidecar) is dict else None
+    if type(lists) is not list or len(lists) != collection.num_graphs:
+        raise ValueError(f"{path}: sidecar latent count does not match collection")
+    sizes = collection.sizes
+    if not set(map(type, lists)) <= {list} or tuple(map(len, lists)) != sizes:
+        m, n = next((m, n) for m, (u, n) in enumerate(zip(lists, sizes)) if type(u) is not list or len(u) != n)
+        raise ValueError(f"{path}: sidecar latent of graph {m} must be a list of its {n} positions")
+    flat = list(chain.from_iterable(lists))
+    try:
+        # type(x), not isinstance: bools are ints to Python but not here
+        values = np.fromiter(flat, dtype=float, count=len(flat)) if set(map(type, flat)) <= {int, float} else None
+    except OverflowError:
+        values = None
+    # NaN fails both comparisons
+    if values is None or not ((values >= 0.0) & (values <= 1.0)).all():
+        node = next(i for i, x in enumerate(flat) if not (type(x) in (int, float) and 0 <= x <= 1))
+        raise ValueError(
+            f"{path}: sidecar latent of graph {_graph_of(collection.node_offsets, node)} "
+            f"must hold numbers in [0, 1], got {flat[node]!r}"
+        )
+    return _split(values, collection.node_offsets)

@@ -278,9 +278,8 @@ class TestCli:
         est = tmp_path / "est.csv"
         est.write_text("0.5\n")
         out = tmp_path / "rows.csv"
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--estimate", str(est), "--graphon", "1",
-                  "--collection", str(coll_path), "--mae", "--out", str(out)])
+        assert main(["evaluate", "--estimate", str(est), "--graphon", "1",
+                     "--collection", str(coll_path), "--mae", "--out", str(out)]) == 2
 
     def test_benchmark_roundtrip_and_determinism(self, tmp_path):
         args = ["benchmark", "--graphon", "1", "--M", "3", "--sizes", "uniform:5:9",
@@ -369,6 +368,24 @@ class TestCliExitStatus:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["no-collection", "no-sidecar"])
+    def test_evaluate_mae_input_error(self, tmp_path, capsys, case):
+        coll_path = tmp_path / "c.jsonl"
+        coll, _ = sample_collection(Graphon.analytic(1), [3, 4], seed=0)
+        save_collection(coll, coll_path)
+        est = tmp_path / "est.csv"
+        est.write_text("0.5\n")
+        argv = ["evaluate", "--estimate", str(est), "--graphon", "1", "--mae",
+                "--out", str(tmp_path / "rows.csv")]
+        if case == "no-collection":
+            message = "--mae requires --collection"
+        else:
+            argv += ["--collection", str(coll_path)]
+            message = f"--mae requested but no latent sidecar found for {coll_path}"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_failed_rows_give_exit_status_1(self, tmp_path, capsys, monkeypatch):
         # the failure of TestBenchmark.test_failures_recorded_not_raised: the

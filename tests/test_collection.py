@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multigraphon import collection
 from multigraphon.collection import (
     Graph,
     GraphCollection,
@@ -117,6 +119,94 @@ def test_sampler_matches_reference(spec):
     for m in range(len(sizes)):
         assert np.array_equal(latent[m], ref_latent[m])
         assert np.array_equal(coll.graphs[m].edges, ref_edges[m])
+
+
+# pairs per graph 0,6,1,0,10,1,1,3,0,435,0,1,136,0 (offsets 0,0,6,7,7,17,...):
+# a chunk of 7 ends on the boundary after graph 2 (and the singleton graph 3)
+# and inside graph 4; a chunk of 100 spans graphs 0-8 and part of graph 9
+MIXED_SIZES = [1, 4, 2, 1, 5, 2, 2, 3, 1, 30, 1, 2, 17, 1]
+
+
+def assert_matches_reference(spec, sizes, seed):
+    coll, latent = sample_collection(spec, sizes, seed=seed)
+    ref_latent, ref_edges = reference_sample(spec, sizes, seed)
+    assert coll.sizes == tuple(sizes) and len(latent) == len(sizes)
+    for m in range(len(sizes)):
+        assert latent[m].tobytes() == ref_latent[m].tobytes()
+        assert coll.graphs[m].edges.tobytes() == ref_edges[m].astype(np.int64).tobytes()
+
+
+class TestChunkedStream:
+    """The sampler walks the pairs of all graphs as one stream in chunks;
+    where the chunk boundaries fall must not move any output byte."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("spec", [Graphon.analytic(1), Graphon.analytic(10),
+                                      Graphon.step([[0.7, 0.1], [0.1, 0.4]])], ids=["w1", "w10", "step"])
+    def test_chunk_boundaries(self, monkeypatch, chunk, spec):
+        monkeypatch.setattr(collection, "_DYAD_CHUNK", chunk)
+        assert_matches_reference(spec, MIXED_SIZES, seed=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=30),
+        chunk=st.integers(min_value=1, max_value=2000),
+        seed=st.integers(min_value=0, max_value=2**32),
+        spec=st.sampled_from([Graphon.analytic(1), Graphon.analytic(10), Graphon.analytic(12)]),
+    )
+    @example(sizes=[1], chunk=1, seed=0, spec=Graphon.analytic(1))
+    @example(sizes=[2, 1, 1], chunk=1, seed=0, spec=Graphon.analytic(12))
+    def test_any_chunk_matches_reference(self, sizes, chunk, seed, spec):
+        old = collection._DYAD_CHUNK
+        collection._DYAD_CHUNK = chunk
+        try:
+            assert_matches_reference(spec, sizes, seed)
+        finally:
+            collection._DYAD_CHUNK = old
+
+    def test_empty_collection_rejected(self):
+        with pytest.raises(ValueError, match="collection must contain at least one graph"):
+            sample_collection(Graphon.analytic(1), [], seed=0)
+
+
+class TestSidecar:
+    @staticmethod
+    def write(tmp_path, latent):
+        path = tmp_path / "c.jsonl"
+        coll, _ = sample_collection(Graphon.analytic(1), [3, 2], seed=0)
+        save_collection(coll, path)
+        (tmp_path / "c.jsonl.sidecar.json").write_text(json.dumps({"latent": latent, "seed": 0}))
+        return path
+
+    def test_numbers_in_unit_interval_accepted(self, tmp_path):
+        _, latent, _ = load_collection(self.write(tmp_path, [[0, 0.25, 1], [1.0, 0.5]]))
+        assert [u.tolist() for u in latent] == [[0.0, 0.25, 1.0], [1.0, 0.5]]
+        assert all(u.dtype == np.float64 for u in latent)
+
+    @pytest.mark.parametrize(
+        "latent, message",
+        [
+            pytest.param([[0.1, 0.2, 0.3], ["0.5", 0.2]], "graph 1 must hold numbers in [0, 1], got '0.5'",
+                         id="string"),
+            pytest.param([[0.1, True, 0.3], [0.5, 0.2]], "graph 0 must hold numbers in [0, 1], got True",
+                         id="bool"),
+            pytest.param([[0.1], [0.5, 0.2]], "graph 0 must be a list of its 3 positions", id="too-few"),
+            pytest.param([[0.1, 0.2, 0.3], [0.5, 0.2, 0.3, 0.4]], "graph 1 must be a list of its 2 positions",
+                         id="too-many"),
+            pytest.param([[0.1, 0.2, 0.3], [2.0, 0.2]], "graph 1 must hold numbers in [0, 1], got 2.0",
+                         id="above-one"),
+            pytest.param([[0.1, -1, 0.3], [0.5, 0.2]], "graph 0 must hold numbers in [0, 1], got -1",
+                         id="negative"),
+            pytest.param([[0.1, 0.2, 0.3], [float("nan"), 0.2]], "graph 1 must hold numbers in [0, 1], got nan",
+                         id="nan"),
+            pytest.param([[0.1, 0.2, 0.3], [0.5, [0.2]]], "graph 1 must hold numbers in [0, 1], got [0.2]",
+                         id="nested"),
+        ],
+    )
+    def test_bad_latent_rejected(self, tmp_path, latent, message):
+        path = self.write(tmp_path, latent)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sidecar latent of {message}")):
+            load_collection(path)
 
 
 class TestJsonl:
