@@ -203,11 +203,12 @@ def estimate_sas_pool(
     same-shape block matrices runs as one batch.
     """
     t0 = time.perf_counter()
+    smoothing = TvParams(lam=lam)  # a bad weight fails before any per-graph work
     graphs = _poolable_graphs(collection)
     n_max = max(g.n for g in graphs)
     if h is None:
         h = max(1, math.ceil(math.log(n_max)))
-    ests = _smooth_by_shape([sas_single(g, h=h, smooth=False) for g in graphs], TvParams(lam=lam))
+    ests = _smooth_by_shape([sas_single(g, h=h, smooth=False) for g in graphs], smoothing)
     if resolution is None:
         resolution = max(e.shape[0] for e in ests)
     pooled = pool_estimates(ests, resolution)

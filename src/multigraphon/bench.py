@@ -120,6 +120,7 @@ class ExperimentConfig:
             Graphon.analytic(gid)  # raises on an unknown id
         if not self.methods:
             raise ValueError("need at least one method")
+        TvParams(lam=self.lam)  # raises on a TV weight that is not finite and >= 0
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -179,12 +180,14 @@ def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: flo
 
     ``k`` is the jgs block count, ``lam`` the TV weight of ``jgs-smooth`` and
     ``sas-pool``, and ``pool_resolution`` the common grid of the pooled
-    baselines (their finest per-graph estimate when None).
+    baselines (their finest per-graph estimate when None). A ``lam`` that is
+    not finite and >= 0 raises ValueError, whatever the method.
     """
+    smoothing = TvParams(lam=lam)
     if method == "jgs":
         return estimate_jgs(coll, k=k)
     if method == "jgs-smooth":
-        return estimate_jgs(coll, k=k, smoothing=TvParams(lam=lam))
+        return estimate_jgs(coll, k=k, smoothing=smoothing)
     if method == "sas-pool":
         return estimate_sas_pool(coll, lam=lam, resolution=pool_resolution)
     if method == "usvt-pool":

@@ -7,11 +7,15 @@ post-smoothing step of histogram estimates.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["TvParams", "TvResult", "rof_energy", "tv_denoise", "tv_smooth"]
+
+_BLOCK = 16  # steps per block of the iteration; the stop tests run once per block
 
 
 @dataclass(frozen=True)
@@ -22,31 +26,42 @@ class TvParams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if not 0 < self.tau <= 0.25:
             raise ValueError("tau must lie in (0, 0.25]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {m!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class TvResult:
+    """``stop`` names the test that ended the iteration: ``"tolerance"`` (the
+    last step met the dual change tolerance; also lam = 0, solved exactly),
+    ``"energy"`` (the next step would raise the ROF energy) or ``"cap"``
+    (max_iters steps ran and neither test fired); it is None only on a
+    result built outside this module."""
+
     values: np.ndarray
     energies: np.ndarray
     iterations: int
+    stop: str | None = None
 
 
 def _energies(u: np.ndarray, ref: np.ndarray, lam: float, gx, gy, tmp) -> np.ndarray:
-    # per-grid ROF energy of a (B, r, c) stack; gx and gy are scratch buffers
-    # whose last row (gx) and last column (gy) are zero, the reflecting boundary
-    np.subtract(u[:, 1:], u[:, :-1], out=gx[:, :-1])
-    np.subtract(u[:, :, 1:], u[:, :, :-1], out=gy[:, :, :-1])
+    # ROF energy of each grid of a (..., r, c) stack; gx and gy are scratch
+    # buffers whose last row (gx) and last column (gy) are zero, the
+    # reflecting boundary
+    np.subtract(u[..., 1:, :], u[..., :-1, :], out=gx[..., :-1, :])
+    np.subtract(u[..., 1:], u[..., :-1], out=gy[..., :-1])
     np.hypot(gx, gy, out=tmp)
-    tv = tmp.sum(axis=(1, 2))
+    tv = tmp.sum(axis=(-2, -1))
     np.subtract(u, ref, out=tmp)
     np.square(tmp, out=tmp)
-    return tmp.sum(axis=(1, 2)) / (2.0 * lam) + tv
+    return tmp.sum(axis=(-2, -1)) / (2.0 * lam) + tv
 
 
 def rof_energy(u: np.ndarray, ref: np.ndarray, lam: float) -> float:
@@ -60,72 +75,91 @@ def _denoise_stack(h: np.ndarray, params: TvParams) -> list[TvResult]:
     """The dual projection iteration on a (B, r, c) stack of grids, one result per grid.
 
     Every grid follows its own iteration exactly as if run alone; a grid
-    leaves the batch when it stops.
+    leaves the batch when it stops. The steps run in blocks of ``_BLOCK``:
+    the energies and stop tests of a block are computed together after its
+    last step, and each grid then stops at the first step of the block that
+    fails a test, so the steps it took after that one are simply dropped.
     """
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
     if params.lam == 0.0:
-        return [TvResult(g.copy(), np.array([rof_energy(g, g, 1.0)]), 0) for g in h]
+        return [TvResult(g.copy(), np.array([rof_energy(g, g, 1.0)]), 0, "tolerance") for g in h]
 
-    lam, tau, tol = params.lam, params.tau, params.tol
+    lam, tau, tol, cap = params.lam, params.tau, params.tol, params.max_iters
     b, r, c = h.shape
+    size = min(_BLOCK, cap)
     hl = h / lam
-    # the dual pair keeps one leading zero row (px) or column (py), so div is
-    # two subtractions; px's last row and py's last column stay zero, since the
-    # forward differences vanish there
-    px, px_new = np.zeros((b, r + 1, c)), np.zeros((b, r + 1, c))
-    py, py_new = np.zeros((b, r, c + 1)), np.zeros((b, r, c + 1))
-    u, u_new = h.copy(), np.empty_like(h)
-    div, div_new = np.zeros_like(h), np.empty_like(h)  # div(p), reused at the next step
-    gx, gy, scale, tmp = np.zeros_like(h), np.zeros_like(h), np.empty_like(h), np.empty_like(h)
-    history = np.empty((min(params.max_iters, 256) + 1, b))  # energies by step, one column per grid
-    history[0] = _energies(u, h, lam, gx, gy, tmp)
+    # p[s] holds the dual pair (px, py) after step s of the block, p[0] the
+    # pair before it, and div[s] its divergence. Both components sit on an
+    # (r+1, c+1) grid whose first row and column stay zero, so div is two
+    # subtractions; px's last row and py's last column stay zero too, since
+    # the forward differences vanish there. The gradient pair g is padded
+    # alike, so one projection updates both components.
+    p = np.zeros((size + 1, b, 2, r + 1, c + 1))
+    div = np.zeros((size + 1, b, r, c))
+    g = np.zeros((b, 2, r + 1, c + 1))
+    scale = np.empty((b, 1, r + 1, c + 1))
+    # block scratch: the primal iterates, the energy terms, the dual change
+    u, tmp = np.empty((2, size, b, r, c))
+    gx, gy = np.zeros((2, size, b, r, c))
+    dp = np.empty((size, b, 2, r + 1, c + 1))
+    history = np.empty((min(cap, 256) + 1, b))  # energies by step, one column per grid
+    history[0] = _energies(h, h, lam, gx[0], gy[0], tmp[0])
     results = [None] * b
     ids = np.arange(b)  # the grids still in the batch
-    for t in range(params.max_iters):
-        np.subtract(div, hl, out=tmp)
-        np.subtract(tmp[:, 1:], tmp[:, :-1], out=gx[:, :-1])
-        np.subtract(tmp[:, :, 1:], tmp[:, :, :-1], out=gy[:, :, :-1])
-        np.hypot(gx, gy, out=scale)
-        scale *= tau
-        scale += 1.0
-        change = np.zeros(len(ids))
-        for p, p_new, g in ((px[:, 1:], px_new[:, 1:], gx), (py[:, :, 1:], py_new[:, :, 1:], gy)):
-            np.multiply(g, tau, out=p_new)
-            p_new += p
-            p_new /= scale
-            np.subtract(p_new, p, out=tmp)
-            np.abs(tmp, out=tmp)
-            np.maximum(change, tmp.max(axis=(1, 2)), out=change)
-        np.subtract(px_new[:, 1:], px_new[:, :-1], out=div_new)
-        np.subtract(py_new[:, :, 1:], py_new[:, :, :-1], out=tmp)
-        div_new += tmp
-        np.multiply(div_new, lam, out=u_new)
-        np.subtract(h, u_new, out=u_new)
-        if t + 1 == len(history):
+    t = 0  # steps taken before the block
+    while t < cap:
+        n = min(size, cap - t)
+        w, grad_x, grad_y, norm = tmp[0], g[:, 0], g[:, 1], scale[:, 0]
+        for s in range(n):
+            q, q_new = p[s], p[s + 1]
+            np.subtract(div[s], hl, out=w)
+            np.subtract(w[:, 1:], w[:, :-1], out=grad_x[:, 1:-1, 1:])
+            np.subtract(w[:, :, 1:], w[:, :, :-1], out=grad_y[:, 1:, 1:-1])
+            np.hypot(grad_x, grad_y, out=norm)
+            scale *= tau
+            scale += 1.0
+            np.multiply(g, tau, out=q_new)
+            q_new += q
+            q_new /= scale
+            np.subtract(q_new[:, 0, 1:, 1:], q_new[:, 0, :-1, 1:], out=div[s + 1])
+            np.subtract(q_new[:, 1, 1:, 1:], q_new[:, 1, 1:, :-1], out=w)
+            div[s + 1] += w
+        np.multiply(div[1:n + 1], lam, out=u[:n])
+        np.subtract(h, u[:n], out=u[:n])
+        if t + n >= len(history):
             history = np.concatenate([history, np.empty_like(history)])
-        history[t + 1, ids] = energy = _energies(u_new, h, lam, gx, gy, tmp)
-        # a step that would raise the energy is discarded and ends the grid's run
-        rose = energy > history[t, ids]
-        np.abs(px_new[:, 1:], out=tmp)
-        converged = ~rose & (change <= tol * np.maximum(1.0, tmp.max(axis=(1, 2))))
+        history[t + 1:t + n + 1, ids] = energy = _energies(u[:n], h, lam, gx[:n], gy[:n], tmp[:n])
+        np.subtract(p[1:n + 1], p[:n], out=dp[:n])
+        np.abs(dp[:n], out=dp[:n])
+        change = dp[:n].max(axis=(2, 3, 4))
+        np.abs(p[1:n + 1], out=dp[:n])
+        bound = tol * np.maximum(1.0, dp[:n, :, 0].max(axis=(2, 3)))
+        # a step that would raise the energy is discarded and ends the grid's
+        # run; so does a step that meets the tolerance, which is kept
+        rose = energy > history[t:t + n, ids]
+        converged = ~rose & (change <= bound)
         done = rose | converged
-        for j in np.flatnonzero(done):
-            steps = t + 1 if converged[j] else t
-            final = u_new if converged[j] else u
-            results[ids[j]] = TvResult(final[j].copy(), history[:steps + 1, ids[j]].copy(), steps)
-        px, px_new, py, py_new = px_new, px, py_new, py
-        u, u_new, div, div_new = u_new, u, div_new, div
-        if done.any():
-            keep = ~done
+        stopped = done.any(axis=0)
+        for j in np.flatnonzero(stopped):
+            s = int(done[:, j].argmax())  # the block's first step to fail a test
+            steps = t + s + 1 if converged[s, j] else t + s
+            results[ids[j]] = TvResult(h[j] - lam * div[steps - t, j], history[:steps + 1, ids[j]].copy(),
+                                       steps, "tolerance" if converged[s, j] else "energy")
+        t += n
+        p[0], div[0] = p[n], div[n]
+        if stopped.any():
+            keep = ~stopped
             ids = ids[keep]
             if not ids.size:
                 break
-            h, hl, px, px_new, py, py_new, u, u_new, div, div_new, gx, gy, scale, tmp = (
-                a[keep] for a in (h, hl, px, px_new, py, py_new, u, u_new, div, div_new,
-                                  gx, gy, scale, tmp))
-    for j, g in enumerate(ids):  # still running after max_iters steps
-        results[g] = TvResult(u[j].copy(), history[:params.max_iters + 1, g].copy(), params.max_iters)
+            # the grids still running move to the front of the buffers
+            h, hl = h[keep], hl[keep]
+            p[0, :ids.size], div[0, :ids.size] = p[0, keep], div[0, keep]
+            g, scale = g[:ids.size], scale[:ids.size]
+            p, div, u, gx, gy, tmp, dp = (a[:, :ids.size] for a in (p, div, u, gx, gy, tmp, dp))
+    for j, i in enumerate(ids):  # still running after max_iters steps
+        results[i] = TvResult(h[j] - lam * div[0, j], history[:cap + 1, i].copy(), cap, "cap")
     return results
 
 
@@ -135,7 +169,8 @@ def tv_denoise(h: np.ndarray, params: TvParams = TvParams()) -> TvResult:
     The primal iterate is u = h - lam * div(p). Iterations stop on the dual
     change tolerance, on max_iters, or as soon as a step would increase the
     ROF energy (the last iterate is then discarded), so the recorded energy
-    sequence is non-increasing by construction.
+    sequence is non-increasing by construction; the result's ``stop`` says
+    which.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2:

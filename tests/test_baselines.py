@@ -214,3 +214,13 @@ class TestPooledEstimators:
         coll = GraphCollection((Graph(1, NO_EDGES),))
         with pytest.raises(ValueError):
             estimate_sas_pool(coll)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_sas_pool_bad_lambda_rejected_before_any_graph(self, monkeypatch, lam):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-graph work started")
+
+        monkeypatch.setattr("multigraphon.baselines.sas_single", refuse)
+        coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            estimate_sas_pool(coll, lam=lam)

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestConfigValidation:
     def test_unknown_graphon_rejected_before_any_cell(self):
         with pytest.raises(ValueError, match="unknown analytic graphon id 99"):
             ExperimentConfig(**self.base(graphon_ids=(1, 99)))
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
+    def test_bad_lambda_rejected_before_any_cell(self, lam):
+        # whatever the methods: a jgs-only run would ignore it, but the option is still wrong
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            ExperimentConfig(**self.base(lam=lam))
 
 
 class TestBenchmark:
@@ -401,6 +408,33 @@ class TestCliExitStatus:
         assert [r[5] for r in rows[1:]] == ["jgs", "usvt-pool"]
         assert rows[1][6] != "" and rows[2][6] == ""  # the failed row is kept, without a mise
         assert "failed: graphon 1 method usvt-pool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["benchmark", "estimate", "estimate-jgs", "smooth"])
+    def test_nonfinite_lambda_rejected(self, tmp_path, capsys, monkeypatch, command, lam):
+        # a non-finite TV weight used to skip smoothing (nan), or fail late
+        # with a message about the estimate values (smooth)
+        monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
+        coll_path, plain = tmp_path / "c.jsonl", tmp_path / "plain.csv"
+        assert main(["simulate", "--graphon", "1", "--M", "2", "--sizes", "fixed:8",
+                     "--out", str(coll_path)]) == 0
+        assert main(["estimate", "--collection", str(coll_path), "--method", "jgs",
+                     "--k", "3", "--out", str(plain)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        argv = {
+            "benchmark": ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:8",
+                          "--trials", "1", "--method", "jgs", "--method", "jgs-smooth", "--res", "40"],
+            "estimate": ["estimate", "--collection", str(coll_path), "--method", "jgs-smooth"],
+            "estimate-jgs": ["estimate", "--collection", str(coll_path), "--method", "jgs"],
+            "smooth": ["smooth", "--estimate", str(plain)],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [f"--lambda={lam}", "--out", str(out)]) == 2
+        want = float(lam)
+        assert capsys.readouterr().err == f"multigraphon: error: lambda must be finite and >= 0, got {want!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["estimate", "evaluate", "simulate"])
     def test_input_error_in_any_subcommand(self, tmp_path, capsys, case):

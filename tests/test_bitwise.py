@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigraphon import tv
 from multigraphon.baselines import estimate_sas_pool, jacobi_eigh, pool_estimates, sas_single
@@ -180,12 +182,31 @@ def energy_stop_grid():
 
 
 def stop_reason(h, params):
+    """Why ``frozen_tv_denoise`` stops: its loop replayed step for step, each
+    exit named; the replay must end where the frozen run ends."""
+    h = np.asarray(h, dtype=float)
     res = frozen_tv_denoise(h, params)
-    if res.iterations == params.max_iters:
-        return "cap"
-    # with no tolerance the run goes on unless the next step raises the energy
-    more = frozen_tv_denoise(h, TvParams(lam=params.lam, tol=0.0, max_iters=res.iterations + 1))
-    return "energy" if more.iterations == res.iterations else "tolerance"
+    if params.lam == 0.0:
+        return "tolerance"  # u = h is the exact minimizer
+    lam, tau = params.lam, params.tau
+    px, py, u = np.zeros_like(h), np.zeros_like(h), h.copy()
+    energy, reason = frozen_rof_energy(u, h, lam), "cap"
+    for _ in range(params.max_iters):
+        gx, gy = _grad(_div(px, py) - h / lam)
+        scale = 1.0 + tau * np.hypot(gx, gy)
+        px_new, py_new = (px + tau * gx) / scale, (py + tau * gy) / scale
+        change = max(np.max(np.abs(px_new - px)), np.max(np.abs(py_new - py)))
+        u_new = h - lam * _div(px_new, py_new)
+        energy_new = frozen_rof_energy(u_new, h, lam)
+        if energy_new > energy:
+            reason = "energy"
+            break
+        px, py, u, energy = px_new, py_new, u_new, energy_new
+        if change <= params.tol * max(1.0, float(np.max(np.abs(px)))):
+            reason = "tolerance"
+            break
+    assert same_bytes(u, res.values) and energy == res.energies[-1]
+    return reason
 
 
 def tv_cases():
@@ -208,6 +229,17 @@ def tv_cases():
         ("long run", rng.random((9, 9)), TvParams(lam=2.0, max_iters=1000, tol=1e-9)),
     ]
     return cases
+
+
+def mixed_stack():
+    rng = np.random.default_rng(9)
+    grids = [rng.random((6, 6)) for _ in range(5)]
+    grids += [np.full((6, 6), 0.2), np.indices((6, 6)).sum(axis=0) % 2 * 1.0, energy_stop_grid()]
+    grids += [np.clip(0.5 + 0.01 * rng.standard_normal((6, 6)), 0, 1) for _ in range(3)]
+    return np.stack([0.5 * (g + g.T) for g in grids])
+
+
+MIXED_STACK_PARAMS = (TvParams(), TvParams(lam=0.02, tol=1e-3), TvParams(lam=5.0, max_iters=40))
 
 
 class TestTvBytes:
@@ -235,12 +267,8 @@ class TestTvBytes:
 
     def test_mixed_stack_equals_each_grid(self):
         # grids of one stack stop at different steps and for different reasons
-        rng = np.random.default_rng(9)
-        grids = [rng.random((6, 6)) for _ in range(5)]
-        grids += [np.full((6, 6), 0.2), np.indices((6, 6)).sum(axis=0) % 2 * 1.0, energy_stop_grid()]
-        grids += [np.clip(0.5 + 0.01 * rng.standard_normal((6, 6)), 0, 1) for _ in range(3)]
-        stack = np.stack([0.5 * (g + g.T) for g in grids])
-        for p in (TvParams(), TvParams(lam=0.02, tol=1e-3), TvParams(lam=5.0, max_iters=40)):
+        stack = mixed_stack()
+        for p in MIXED_STACK_PARAMS:
             results = tv._denoise_stack(stack, p)
             for g, res in zip(stack, results):
                 assert_same_result(res, frozen_tv_denoise(g, p))
@@ -262,6 +290,77 @@ class TestTvBytes:
         for shape in ((1, 1), (1, 5), (6, 1), (7, 4), (40, 40)):
             u, ref = rng.random(shape), rng.random(shape)
             assert tv.rof_energy(u, ref, 0.3) == frozen_rof_energy(u, ref, 0.3)
+
+
+def assert_same_as_frozen(stack, params):
+    """Each grid of the batched run equals its frozen run, stop reason included."""
+    results = tv._denoise_stack(stack, params)
+    for g, res in zip(stack, results):
+        assert_same_result(res, frozen_tv_denoise(g, params))
+        assert res.stop == stop_reason(g, params)
+    return results
+
+
+class TestTvBlocks:
+    """The iteration runs in blocks of ``tv._BLOCK`` steps; none of its
+    outputs may depend on where a block boundary falls."""
+
+    @pytest.mark.parametrize("name, h, params", tv_cases(), ids=[c[0] for c in tv_cases()])
+    def test_stop_reason(self, name, h, params):
+        assert tv_denoise(h, params).stop == stop_reason(h, params)
+
+    def test_mixed_stack_stop_reasons(self):
+        stack = mixed_stack()
+        for p in MIXED_STACK_PARAMS:
+            results = assert_same_as_frozen(stack, p)
+            assert len({res.stop for res in results}) > 1
+
+    @pytest.mark.parametrize("max_iters", [1, 15, 16, 17, 33, 200])
+    def test_cap_around_block_boundaries(self, max_iters):
+        # grids that run to the cap, stop on the tolerance or stop on an energy
+        # rise (after 11 steps), each with the cap before, on and after a boundary
+        rng = np.random.default_rng(40 + max_iters)
+        grids = [rng.random((6, 6)), energy_stop_grid(), np.full((6, 6), 0.4),
+                 np.clip(0.5 + 0.01 * rng.standard_normal((6, 6)), 0, 1)]
+        stack = np.stack([0.5 * (g + g.T) for g in grids])
+        for p in (TvParams(max_iters=max_iters), TvParams(lam=0.02, tol=1e-3, max_iters=max_iters)):
+            assert_same_as_frozen(stack, p)
+        # without a tolerance the first grid runs ~500 steps before its energy rises
+        results = assert_same_as_frozen(stack, TvParams(lam=2.0, tol=0.0, max_iters=max_iters))
+        assert results[0].iterations == max_iters and results[0].stop == "cap"
+
+    def test_stops_in_different_blocks_and_offsets(self):
+        rng = np.random.default_rng(12)
+        grids = [rng.random((5, 5)) for _ in range(6)] + [energy_stop_grid()[:5, :5], np.full((5, 5), 0.3)]
+        stack = np.stack([0.5 * (g + g.T) for g in grids])
+        for p in (TvParams(lam=0.1, tol=1e-4), TvParams(lam=0.05, tol=3e-4)):
+            results = assert_same_as_frozen(stack, p)
+            steps = [res.iterations for res in results]
+            assert len({s // tv._BLOCK for s in steps}) > 2
+            assert len({s % tv._BLOCK for s in steps}) > 2
+            assert {res.stop for res in results} == {"tolerance", "energy"}
+        # under the second parameters one grid meets the tolerance on the last
+        # step of the first block
+        assert tv._BLOCK in steps
+
+    @pytest.mark.parametrize("shape", [(4, 1, 7), (4, 7, 1), (3, 1, 1), (5, 1, 2)])
+    def test_one_row_or_column_stack(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.random(shape)
+        for p in (TvParams(lam=0.2), TvParams(lam=0.05, tol=1e-3, max_iters=30), TvParams(lam=2.0, max_iters=17)):
+            assert_same_as_frozen(stack, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)),
+        lam=st.floats(0.005, 5.0),
+        tol=st.floats(1e-8, 1e-2),
+        max_iters=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_stack_matches_frozen(self, shape, lam, tol, max_iters, seed):
+        stack = np.random.default_rng(seed).random(shape)
+        assert_same_as_frozen(stack, TvParams(lam=lam, tol=tol, max_iters=max_iters))
 
 
 def test_sas_pool_equals_per_graph_pooling():

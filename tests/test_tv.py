@@ -25,6 +25,21 @@ def test_params_validated():
         TvParams(max_iters=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(lam=float("nan")), dict(lam=float("inf")), dict(lam=-float("inf")),
+    dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=-1e-6),
+    dict(max_iters=2.5), dict(max_iters=200.0), dict(max_iters="200"), dict(max_iters=True),
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_nonfinite_or_noninteger_params_rejected(kwargs):
+    with pytest.raises(ValueError):
+        TvParams(**kwargs)
+
+
+def test_numpy_scalars_accepted():
+    p = TvParams(lam=np.float64(0.1), max_iters=np.int64(5), tol=np.float32(1e-3))
+    assert tv_denoise(np.eye(3), p).iterations <= 5
+
+
 def test_lambda_zero_is_identity():
     rng = np.random.default_rng(0)
     h = rng.random((6, 6))
