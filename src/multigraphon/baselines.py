@@ -15,7 +15,7 @@ import numpy as np
 
 from .collection import Graph, GraphCollection
 from .estimates import StepEstimate, resample_grid
-from .tv import TvParams, tv_smooth
+from .tv import TvParams, _require_int, tv_smooth
 
 __all__ = [
     "jacobi_eigh",
@@ -99,17 +99,15 @@ def sas_single(
     partitioned into consecutive bins of ``h`` nodes (the last bin may be
     smaller). Block values average the adjacency entries between the two
     bins excluding self-pairs; the block matrix is then TV-smoothed.
-    Default bin width is ceil(ln n). ``h >= n`` collapses to the global
-    edge density.
+    Default bin width is ceil(ln n); a given ``h`` must be an integer >= 1.
+    ``h >= n`` collapses to the global edge density.
     """
     if graph.n < 2:
         raise ValueError("single-graph histogram needs at least 2 nodes")
     n = graph.n
     if h is None:
         h = max(1, math.ceil(math.log(n)))
-    h = int(h)
-    if h < 1:
-        raise ValueError("bin width must be >= 1")
+    _require_int("bin width h", h)
     order = np.argsort(graph.degrees() / (n - 1), kind="stable")
     a = graph.adjacency()[np.ix_(order, order)]
     nb = max(1, math.ceil(n / h))
@@ -136,19 +134,25 @@ def usvt_single(graph: Graph, tau: float | None = None, n_ref: int | None = None
     Eigenpairs of the adjacency with |eigenvalue| >= tau are retained and
     the reconstruction is clipped to [0, 1]. Default threshold is
     0.2 sqrt(n) with the graph's own size; pass ``n_ref`` to use a
-    collection-level reference size instead.
+    collection-level reference size instead. A given ``tau`` must be finite
+    and > 0.
     """
     if graph.n < 2:
         raise ValueError("spectral estimate needs at least 2 nodes")
     if tau is None:
         tau = 0.2 * math.sqrt(n_ref if n_ref is not None else graph.n)
-    if tau <= 0:
-        raise ValueError("threshold must be positive")
+    _check_tau(tau)
     w, v = jacobi_eigh(graph.adjacency())
     keep = np.abs(w) >= tau
     recon = (v[:, keep] * w[keep]) @ v[:, keep].T
     recon = 0.5 * (recon + recon.T)
     return np.clip(recon, 0.0, 1.0)
+
+
+def _check_tau(tau: float) -> None:
+    # NaN fails both comparisons; an infinite threshold would keep nothing
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"threshold tau must be finite and > 0, got {tau!r}")
 
 
 def pool_estimates(per_graph, resolution: int) -> np.ndarray:
@@ -203,7 +207,9 @@ def estimate_sas_pool(
     same-shape block matrices runs as one batch.
     """
     t0 = time.perf_counter()
-    smoothing = TvParams(lam=lam)  # a bad weight fails before any per-graph work
+    smoothing = TvParams(lam=lam)  # bad parameters fail before any per-graph work
+    if h is not None:
+        _require_int("bin width h", h)
     graphs = _poolable_graphs(collection)
     n_max = max(g.n for g in graphs)
     if h is None:
@@ -237,6 +243,8 @@ def estimate_usvt_pool(
     ``use_nmax`` switches to the largest size in the collection.
     """
     t0 = time.perf_counter()
+    if tau is not None:
+        _check_tau(tau)  # before any per-graph work
     graphs = _poolable_graphs(collection)
     n_max = max(g.n for g in graphs)
     ests = [usvt_single(g, tau=tau, n_ref=n_max if use_nmax else None) for g in graphs]

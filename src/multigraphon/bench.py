@@ -24,7 +24,7 @@ from .estimates import StepEstimate
 from .evaluation import evaluate_estimate
 from .graphons import Graphon
 from .jgs import estimate_jgs, joint_sort, normalized_degrees
-from .tv import TvParams
+from .tv import TvParams, _require_int
 
 __all__ = [
     "METHODS",
@@ -112,8 +112,16 @@ class ExperimentConfig:
     pool_resolution: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        # every bad value fails here, before any cell runs
+        _require_int("M", self.num_graphs)
+        _require_int("trials", self.trials)
+        _require_int("seed", self.seed, least=0)
+        _require_int("resolution", self.resolution)
+        _check_k(self.k)
+        if self.pool_resolution is not None:
+            _require_int("pool resolution", self.pool_resolution)
+        for value in self.sweep_values:
+            _require_int("sweep value", value)
         if not self.graphon_ids:
             raise ValueError("need at least one graphon id")
         for gid in self.graphon_ids:
@@ -156,6 +164,11 @@ class ResultRecord:
         ]
 
 
+def _check_k(k) -> None:
+    if k != "auto":
+        _require_int("k", k)
+
+
 def collection_seed(master: int, graphon_id: int, trial: int) -> int:
     """Documented 64-bit sub-seed mix for one (graphon, trial) cell."""
     return int(np.random.SeedSequence([master, graphon_id, trial]).generate_state(1, np.uint64)[0])
@@ -168,6 +181,7 @@ def sample_cell(seed: int, graphon_id: int, trial: int, sizes: SizeSpec,
 
     Returns the collection, its latent positions and its sub-seed.
     """
+    _require_int("seed", seed, least=0)
     sub = collection_seed(seed, graphon_id, trial)
     drawn = sizes.draw(np.random.default_rng([seed, graphon_id, trial, 0]), num_graphs)
     coll, latent = sample_collection(Graphon.analytic(graphon_id), drawn, sub)
@@ -181,9 +195,14 @@ def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: flo
     ``k`` is the jgs block count, ``lam`` the TV weight of ``jgs-smooth`` and
     ``sas-pool``, and ``pool_resolution`` the common grid of the pooled
     baselines (their finest per-graph estimate when None). A ``lam`` that is
-    not finite and >= 0 raises ValueError, whatever the method.
+    not finite and >= 0, a ``k`` that is neither "auto" nor an integer >= 1,
+    or a ``pool_resolution`` that is neither None nor an integer >= 1 raises
+    ValueError before any work, whatever the method.
     """
     smoothing = TvParams(lam=lam)
+    _check_k(k)
+    if pool_resolution is not None:
+        _require_int("pool resolution", pool_resolution)
     if method == "jgs":
         return estimate_jgs(coll, k=k)
     if method == "jgs-smooth":

@@ -11,12 +11,16 @@ is drawn from ``numpy.random.default_rng([s, m])``, i.e. the sub-stream is
 derived from (seed, graph index) through numpy's SeedSequence mixing. The
 same (seed, m) always yields the same graph, and distinct graphs use
 statistically independent streams, so determinism holds no matter which
-thread draws which graph.
+thread draws which graph. The sampler derives the PCG64 seed states of all
+graphs of a collection in one vectorized pass of that SeedSequence algorithm
+and seeds each graph's generator from its row; every stream stays exactly
+the one ``SeedSequence([s, m])`` gives.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -213,6 +217,93 @@ def graph_rng(seed: int, m: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(m)])
 
 
+# numpy's SeedSequence: a pool of 4 uint32 words and its hash constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays; its running constant starts at
+    ``const`` and is multiplied by ``mult`` in every call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    result ^= result >> 16
+    return result
+
+
+def _seed_states(seed: int, graphs: np.ndarray) -> np.ndarray:
+    """PCG64 seed states of graphs ``graphs`` under collection seed ``seed``:
+    a (len(graphs), 4) uint64 array whose row i equals
+    ``SeedSequence([seed, graphs[i]]).generate_state(4, np.uint64)``, the
+    state ``graph_rng(seed, graphs[i])`` seeds PCG64 with.
+
+    Runs numpy's SeedSequence algorithm for all graphs at once, in uint32
+    array arithmetic, which wraps modulo 2**32 as the reference does. The
+    entropy words are those of the seed, least significant first (at least
+    one), then the graph index as one word: indices lie in [0, 2**32).
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    graphs = np.asarray(graphs)
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    entropy = [np.full(graphs.size, w, dtype=np.uint32) for w in words] + [graphs.astype(np.uint32)]
+    entropy += [np.zeros(graphs.size, dtype=np.uint32)] * (4 - len(entropy))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1).astype("<u4", copy=False)
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _precomputed_seed() -> type:
+    """The seed-sequence type that hands PCG64 a row of :func:`_seed_states`.
+
+    Built on first use: numpy loads ``numpy.random`` lazily, and a module
+    that never samples need not load it.
+    """
+
+    class PrecomputedSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 seeds itself from 4 uint64 words; any other request means
+            # numpy now seeds it differently, and the state would be wrong
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise RuntimeError(
+                    f"PCG64 requested {n_words} words of {np.dtype(dtype)}; "
+                    "the precomputed seed state holds 4 words of uint64"
+                )
+            return self.state
+
+    return PrecomputedSeed
+
+
 # most pairs per chunk of the collection's pair stream; bounds the sampler's
 # working set (~70 bytes a pair) whatever the graph sizes
 _DYAD_CHUNK = 1 << 16
@@ -227,7 +318,7 @@ def sample_collection(spec: Graphon, sizes, seed: int) -> tuple[GraphCollection,
     (one array per graph, views of one array).
 
     Graph m draws from ``graph_rng(seed, m)`` its n latents, then one number
-    per pair i < j in row-major order.
+    per pair i < j in row-major order. A negative seed raises ValueError.
     """
     sizes = [int(n) for n in sizes]
     if any(n < 1 for n in sizes):
@@ -253,8 +344,11 @@ def _sample_pairs(spec: Graphon, n: np.ndarray, node_offsets: np.ndarray, seed: 
     The pairs of all graphs form one stream, walked in chunks: a chunk may
     span many small graphs or part of a large one, and chunked
     ``rng.random`` calls draw the same numbers as one call. A graph's
-    latents are drawn when the first chunk reaches it.
+    generator is seeded, and its latents drawn, when the first chunk
+    reaches it.
     """
+    states = _seed_states(seed, np.arange(n.size))
+    seeded, generator, pcg64 = _precomputed_seed(), np.random.Generator, np.random.PCG64
     nodes = node_offsets.tolist()
     graph_pairs = n * (n - 1) // 2
     pair_offsets = _offsets(graph_pairs)
@@ -286,7 +380,7 @@ def _sample_pairs(spec: Graphon, n: np.ndarray, node_offsets: np.ndarray, seed: 
         while a < stop:
             while pairs[m + 1] <= a:
                 m += 1
-                rng = graph_rng(seed, m)
+                rng = generator(pcg64(seeded(states[m])))
                 rng.random(out=latent[nodes[m]:nodes[m + 1]])
             b = min(stop, pairs[m + 1])
             rng.random(out=draw[a - start:b - start])
@@ -312,7 +406,7 @@ def _sample_pairs(spec: Graphon, n: np.ndarray, node_offsets: np.ndarray, seed: 
         heads.append(np.repeat(row_i[rows], per_row))
         tails.append(tail)
     for m in range(m + 1, n.size):  # graphs after the last pair
-        graph_rng(seed, m).random(out=latent[nodes[m]:nodes[m + 1]])
+        generator(pcg64(seeded(states[m]))).random(out=latent[nodes[m]:nodes[m + 1]])
     return heads, tails, edge_counts
 
 

@@ -18,6 +18,13 @@ __all__ = ["TvParams", "TvResult", "rof_energy", "tv_denoise", "tv_smooth"]
 _BLOCK = 16  # steps per block of the iteration; the stop tests run once per block
 
 
+def _require_int(name: str, value, least: int = 1) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer >=
+    ``least``; bools and floats are refused whatever their value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TvParams:
     lam: float = 0.05
@@ -30,9 +37,7 @@ class TvParams:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if not 0 < self.tau <= 0.25:
             raise ValueError("tau must lie in (0, 0.25]")
-        m = self.max_iters
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {m!r}")
+        _require_int("max_iters", self.max_iters)
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 

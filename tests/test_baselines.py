@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,12 @@ class TestUsvt:
         with pytest.raises(ValueError):
             usvt_single(complete_graph(3), tau=0.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_threshold_rejected(self, tau):
+        # nan and inf used to pass the old tau <= 0 test and return all zeros
+        with pytest.raises(ValueError, match=f"threshold tau must be finite and > 0, got {tau!r}"):
+            usvt_single(complete_graph(3), tau=tau)
+
 
 class TestSas:
     def test_k4_two_bins_all_ones(self):
@@ -147,6 +154,16 @@ class TestSas:
             sas_single(Graph(1, NO_EDGES))
         with pytest.raises(ValueError):
             sas_single(complete_graph(3), h=0)
+
+    @pytest.mark.parametrize("h", [2.7, 2.0, True, np.float64(2.0)])
+    def test_non_integer_bin_width_rejected(self, h):
+        # int(h) used to turn 2.7 into 2 without a word
+        with pytest.raises(ValueError, match=re.escape(f"bin width h must be an integer >= 1, got {h!r}")):
+            sas_single(complete_graph(5), h=h)
+
+    def test_numpy_integer_bin_width_accepted(self):
+        g = complete_graph(5)
+        assert np.array_equal(sas_single(g, h=np.int64(2)), sas_single(g, h=2))
 
 
 class TestPooling:
@@ -224,3 +241,23 @@ class TestPooledEstimators:
         coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             estimate_sas_pool(coll, lam=lam)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_usvt_pool_bad_tau_rejected_before_any_graph(self, monkeypatch, tau):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-graph work started")
+
+        monkeypatch.setattr("multigraphon.baselines.usvt_single", refuse)
+        coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
+        with pytest.raises(ValueError, match=f"threshold tau must be finite and > 0, got {tau!r}"):
+            estimate_usvt_pool(coll, tau=tau)
+
+    @pytest.mark.parametrize("h", [0, 2.7, 3.0, True, "3"])
+    def test_sas_pool_bad_bin_width_rejected_before_any_graph(self, monkeypatch, h):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-graph work started")
+
+        monkeypatch.setattr("multigraphon.baselines.sas_single", refuse)
+        coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
+        with pytest.raises(ValueError, match=re.escape(f"bin width h must be an integer >= 1, got {h!r}")):
+            estimate_sas_pool(coll, h=h)

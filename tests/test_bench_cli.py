@@ -84,6 +84,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown analytic graphon id 99"):
             ExperimentConfig(**self.base(graphon_ids=(1, 99)))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_graphs", 0, "M must be an integer >= 1, got 0"),
+        ("trials", 1.0, "trials must be an integer >= 1, got 1.0"),
+        ("resolution", 0, "resolution must be an integer >= 1, got 0"),
+        ("resolution", 40.5, "resolution must be an integer >= 1, got 40.5"),
+        ("k", 0, "k must be an integer >= 1, got 0"),
+        ("k", 2.5, "k must be an integer >= 1, got 2.5"),
+        ("k", True, "k must be an integer >= 1, got True"),
+        ("k", "5", "k must be an integer >= 1, got '5'"),
+        ("pool_resolution", 0, "pool resolution must be an integer >= 1, got 0"),
+        ("pool_resolution", -3, "pool resolution must be an integer >= 1, got -3"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ])
+    def test_bad_value_rejected_before_any_cell(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**self.base(**{field: value}))
+
+    @pytest.mark.parametrize("sweep, values", [("k", (0, 2)), ("n", (6, 0)), ("M", (2, -1))])
+    def test_bad_sweep_value_rejected_before_any_cell(self, sweep, values):
+        bad = min(values)
+        with pytest.raises(ValueError, match=f"^sweep value must be an integer >= 1, got {bad}$"):
+            ExperimentConfig(**self.base(sweep=sweep, sweep_values=values))
+
+    def test_good_values_accepted(self):
+        ExperimentConfig(**self.base(k=np.int64(3), seed=0, pool_resolution=1, resolution=1,
+                                     sweep="k", sweep_values=(1, 2)))
+
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
     def test_bad_lambda_rejected_before_any_cell(self, lam):
         # whatever the methods: a jgs-only run would ignore it, but the option is still wrong
@@ -358,7 +385,22 @@ class TestCliExitStatus:
         (["--graphon", "1,99", "--sizes", "fixed:6"], None, "unknown analytic graphon id 99"),
         (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "x,y"], None,
          "--values expects comma-separated integers, got 'x,y'"),
-    ], ids=["sizes", "jobs", "graphon", "values"])
+        (["--graphon", "1", "--sizes", "fixed:6", "--res", "0"], None,
+         "resolution must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--k", "0"], None, "k must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "k", "--values", "0,2"], None,
+         "sweep value must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "6,0"], None,
+         "sweep value must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "M", "--values", "2,0"], None,
+         "sweep value must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--method", "usvt-pool", "--pool-res", "0"], None,
+         "pool resolution must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--seed", "-1"], None,
+         "seed must be an integer >= 0, got -1"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--M", "0"], None, "M must be an integer >= 1, got 0"),
+    ], ids=["sizes", "jobs", "graphon", "values", "res", "k", "sweep-k", "sweep-n", "sweep-M",
+            "pool-res", "seed", "M"])
     def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      args, jobs, message):
         def refuse(cfg):
@@ -374,6 +416,39 @@ class TestCliExitStatus:
                 "--out", str(out)] + args
         assert main(argv) == 2
         assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["jgs", "usvt-pool", "sas-pool"])
+    @pytest.mark.parametrize("args, message", [
+        (["--pool-res", "0"], "pool resolution must be an integer >= 1, got 0"),
+        (["--pool-res", "-3"], "pool resolution must be an integer >= 1, got -3"),
+        (["--k", "0"], "k must be an integer >= 1, got 0"),
+    ], ids=["pool-res-0", "pool-res-negative", "k-0"])
+    def test_estimate_input_error_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                  method, args, message):
+        # these used to fail after the per-graph work, or with a message about
+        # the estimate values or numpy's array dimensions
+        coll_path = tmp_path / "c.jsonl"
+        coll, _ = sample_collection(Graphon.analytic(1), [5, 6], seed=0)
+        save_collection(coll, coll_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimator work started")
+
+        for name in ("estimate_jgs", "estimate_sas_pool", "estimate_usvt_pool"):
+            monkeypatch.setattr(f"multigraphon.bench.{name}", refuse)
+        out = tmp_path / "est.csv"
+        argv = ["estimate", "--collection", str(coll_path), "--method", method, "--out", str(out)]
+        assert main(argv + args) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+        assert not out.exists()
+
+    def test_simulate_negative_seed_names_the_option(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        argv = ["simulate", "--graphon", "1", "--M", "2", "--sizes", "fixed:5", "--seed", "-1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "multigraphon: error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["no-collection", "no-sidecar"])

@@ -169,6 +169,52 @@ class TestChunkedStream:
             sample_collection(Graphon.analytic(1), [], seed=0)
 
 
+def seed_sequence_state(seed, m):
+    return np.random.SeedSequence([seed, m]).generate_state(4, np.uint64)
+
+
+class TestVectorizedSeeding:
+    """The sampler seeds every graph's PCG64 from one vectorized pass of the
+    SeedSequence algorithm; each state must be SeedSequence([seed, m])'s."""
+
+    # 1 to 5 entropy words from the seed, and graph indices up to 2**32 - 1
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 5]
+    GRAPHS = [0, 1, 2, 1000, 2**31, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_seed_sequence(self, seed):
+        states = collection._seed_states(seed, np.array(self.GRAPHS))
+        assert states.dtype == np.uint64 and states.shape == (len(self.GRAPHS), 4)
+        for row, m in zip(states, self.GRAPHS):
+            assert row.tobytes() == seed_sequence_state(seed, m).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_equal_default_rng(self, seed):
+        seeded = collection._precomputed_seed()
+        for row, m in zip(collection._seed_states(seed, np.array(self.GRAPHS)), self.GRAPHS):
+            rng = np.random.Generator(np.random.PCG64(seeded(row)))
+            ref = np.random.default_rng([seed, m])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random(33).tobytes() == ref.random(33).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**130), count=st.integers(min_value=1, max_value=50))
+    def test_any_seed_and_count(self, seed, count):
+        states = collection._seed_states(seed, np.arange(count))
+        expected = np.array([seed_sequence_state(seed, m) for m in range(count)])
+        assert states.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (4, np.uint32), (8, np.uint32)])
+    def test_other_requests_refused(self, n_words, dtype):
+        seeded = collection._precomputed_seed()(collection._seed_states(3, np.arange(1))[0])
+        with pytest.raises(RuntimeError, match="precomputed seed state holds 4 words of uint64"):
+            seeded.generate_state(n_words, dtype)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            sample_collection(Graphon.analytic(1), [3, 4], seed=-1)
+
+
 class TestSidecar:
     @staticmethod
     def write(tmp_path, latent):
