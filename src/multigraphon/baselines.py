@@ -13,8 +13,9 @@ import time
 
 import numpy as np
 
-from .collection import Graph, GraphCollection
+from .collection import Graph, GraphCollection, _offsets, _split
 from .estimates import StepEstimate, resample_grid
+from .jgs import _edge_counts
 from .tv import TvParams, _require_int, tv_smooth
 
 __all__ = [
@@ -104,28 +105,41 @@ def sas_single(
     """
     if graph.n < 2:
         raise ValueError("single-graph histogram needs at least 2 nodes")
-    n = graph.n
     if h is None:
-        h = max(1, math.ceil(math.log(n)))
+        h = max(1, math.ceil(math.log(graph.n)))
     _require_int("bin width h", h)
-    order = np.argsort(graph.degrees() / (n - 1), kind="stable")
-    a = graph.adjacency()[np.ix_(order, order)]
-    nb = max(1, math.ceil(n / h))
-    bounds = [min(b * h, n) for b in range(nb + 1)]
-    bounds[-1] = n
-    blocks = np.zeros((nb, nb))
-    for s in range(nb):
-        rs = slice(bounds[s], bounds[s + 1])
-        ns = bounds[s + 1] - bounds[s]
-        for t in range(s, nb):
-            ct = slice(bounds[t], bounds[t + 1])
-            nt = bounds[t + 1] - bounds[t]
-            total = float(a[rs, ct].sum())
-            pairs = ns * nt - (ns if s == t else 0)
-            blocks[s, t] = blocks[t, s] = total / max(1, pairs)
+    blocks = _sas_blocks(GraphCollection((graph,)), h)[0]
     if smooth:
         blocks = tv_smooth(blocks, TvParams(lam=lam))
     return blocks
+
+
+def _sas_blocks(collection: GraphCollection, h: int) -> list[np.ndarray]:
+    """Unsmoothed degree-sorted histogram of every graph of the collection.
+
+    Graph m ranks its nodes by degree (stable, index tie-break) and cuts
+    them into ceil(n_m / h) bins of ``h`` nodes; its table of bin pairs sits
+    at its own offset in one array of cells, which the jgs edge pass counts
+    for all graphs at once. Block (s, t) divides the edges between bins s
+    and t by their node pairs, self-pairs excluded.
+    """
+    sizes = np.diff(collection.node_offsets)
+    graph = np.repeat(np.arange(sizes.size), sizes)
+    degree = np.bincount(collection.edges.ravel(), minlength=graph.size)
+    rank = np.empty_like(degree)
+    rank[np.lexsort((degree, graph))] = np.arange(graph.size) - collection.node_offsets[graph]
+    bins = rank // h
+    nb = -(-sizes // h)
+    cells, bin_offsets = _offsets(nb * nb), _offsets(nb)
+    half = _edge_counts(collection.edges, cells[graph] + bins * nb[graph], bins, cells[-1])
+    counts = np.bincount(bin_offsets[graph] + bins, minlength=bin_offsets[-1])
+    # cell (s, t) of graph m's table, with the counts c_s, c_t of its bins
+    cell_graph = np.repeat(np.arange(nb.size), nb * nb)
+    s, t = np.divmod(np.arange(cells[-1]) - cells[cell_graph], nb[cell_graph])
+    cs, ct = counts[bin_offsets[cell_graph] + s], counts[bin_offsets[cell_graph] + t]
+    num = half + half[cells[cell_graph] + t * nb[cell_graph] + s]
+    values = num / np.maximum(1, cs * ct - np.where(s == t, cs, 0))
+    return [v.reshape(n, n) for v, n in zip(_split(values, cells), nb.tolist())]
 
 
 def usvt_single(graph: Graph, tau: float | None = None, n_ref: int | None = None) -> np.ndarray:
@@ -173,11 +187,29 @@ def pool_estimates(per_graph, resolution: int) -> np.ndarray:
     return acc / len(mats)
 
 
-def _poolable_graphs(collection: GraphCollection) -> list[Graph]:
-    graphs = [g for g in collection.graphs if g.n >= 2]
-    if not graphs:
+def _poolable(collection: GraphCollection, per_graph) -> list:
+    kept = [x for x, n in zip(per_graph, collection.sizes) if n >= 2]
+    if not kept:
         raise ValueError("no graph with >= 2 nodes to estimate from")
-    return graphs
+    return kept
+
+
+def _pooled_estimate(collection: GraphCollection, ests: list, resolution: int | None, method: str,
+                     params: dict, t0: float) -> StepEstimate:
+    """The pooled estimate of the collection from per-graph estimates, on a
+    grid as fine as the finest of them unless ``resolution`` is given; the
+    elapsed time counts from ``t0``."""
+    if resolution is None:
+        resolution = max(e.shape[0] for e in ests)
+    return StepEstimate(
+        values=pool_estimates(ests, resolution),
+        method=method,
+        n_total=collection.total_nodes,
+        n_graphs=collection.num_graphs,
+        dyad_count=collection.total_dyads,
+        params={**params, "resolution": int(resolution), "skipped_singletons": collection.num_graphs - len(ests)},
+        elapsed_seconds=time.perf_counter() - t0,
+    )
 
 
 def _smooth_by_shape(blocks: list[np.ndarray], params: TvParams) -> list[np.ndarray]:
@@ -208,27 +240,11 @@ def estimate_sas_pool(
     """
     t0 = time.perf_counter()
     smoothing = TvParams(lam=lam)  # bad parameters fail before any per-graph work
-    if h is not None:
-        _require_int("bin width h", h)
-    graphs = _poolable_graphs(collection)
-    n_max = max(g.n for g in graphs)
     if h is None:
-        h = max(1, math.ceil(math.log(n_max)))
-    ests = _smooth_by_shape([sas_single(g, h=h, smooth=False) for g in graphs], smoothing)
-    if resolution is None:
-        resolution = max(e.shape[0] for e in ests)
-    pooled = pool_estimates(ests, resolution)
-    elapsed = time.perf_counter() - t0
-    return StepEstimate(
-        values=pooled,
-        method="sas-pool",
-        n_total=collection.total_nodes,
-        n_graphs=collection.num_graphs,
-        dyad_count=collection.total_dyads,
-        params={"h": int(h), "lambda": lam, "resolution": int(resolution),
-                "skipped_singletons": collection.num_graphs - len(graphs)},
-        elapsed_seconds=elapsed,
-    )
+        h = max(1, math.ceil(math.log(max(collection.sizes))))
+    _require_int("bin width h", h)
+    ests = _smooth_by_shape(_poolable(collection, _sas_blocks(collection, h)), smoothing)
+    return _pooled_estimate(collection, ests, resolution, "sas-pool", {"h": int(h), "lambda": lam}, t0)
 
 
 def estimate_usvt_pool(
@@ -245,20 +261,7 @@ def estimate_usvt_pool(
     t0 = time.perf_counter()
     if tau is not None:
         _check_tau(tau)  # before any per-graph work
-    graphs = _poolable_graphs(collection)
+    graphs = _poolable(collection, collection.graphs)
     n_max = max(g.n for g in graphs)
     ests = [usvt_single(g, tau=tau, n_ref=n_max if use_nmax else None) for g in graphs]
-    if resolution is None:
-        resolution = max(e.shape[0] for e in ests)
-    pooled = pool_estimates(ests, resolution)
-    elapsed = time.perf_counter() - t0
-    return StepEstimate(
-        values=pooled,
-        method="usvt-pool",
-        n_total=collection.total_nodes,
-        n_graphs=collection.num_graphs,
-        dyad_count=collection.total_dyads,
-        params={"tau": tau, "use_nmax": use_nmax, "resolution": int(resolution),
-                "skipped_singletons": collection.num_graphs - len(graphs)},
-        elapsed_seconds=elapsed,
-    )
+    return _pooled_estimate(collection, ests, resolution, "usvt-pool", {"tau": tau, "use_nmax": use_nmax}, t0)

@@ -63,11 +63,10 @@ class SizeSpec:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            if self.n < 1:
-                raise ValueError("fixed size must be >= 1")
+            _require_int("fixed size n", self.n)
         elif self.kind == "uniform":
-            if not 1 <= self.lo <= self.hi:
-                raise ValueError("uniform sizes need 1 <= lo <= hi")
+            _require_int("uniform size lo", self.lo)
+            _require_int("uniform size hi", self.hi, least=self.lo)
         else:
             raise ValueError(f"unknown size spec kind {self.kind!r}")
 
@@ -120,8 +119,7 @@ class ExperimentConfig:
         _check_k(self.k)
         if self.pool_resolution is not None:
             _require_int("pool resolution", self.pool_resolution)
-        for value in self.sweep_values:
-            _require_int("sweep value", value)
+        _require_int("sweep value", *self.sweep_values)
         if not self.graphon_ids:
             raise ValueError("need at least one graphon id")
         for gid in self.graphon_ids:

@@ -26,6 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .graphons import Graphon, _kernel
+from .tv import _require_int
 
 __all__ = [
     "Graph",
@@ -124,10 +125,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self.edges.shape[0]
-
-    def degrees(self) -> np.ndarray:
-        """Raw degree of every node."""
-        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -320,9 +317,8 @@ def sample_collection(spec: Graphon, sizes, seed: int) -> tuple[GraphCollection,
     Graph m draws from ``graph_rng(seed, m)`` its n latents, then one number
     per pair i < j in row-major order. A negative seed raises ValueError.
     """
-    sizes = [int(n) for n in sizes]
-    if any(n < 1 for n in sizes):
-        raise ValueError("all graph sizes must be >= 1")
+    sizes = list(sizes)
+    _require_int("graph size", *sizes)
     n = np.array(sizes, dtype=np.int64)
     node_offsets = _offsets(n)
     latent = np.empty(int(node_offsets[-1]))

@@ -15,6 +15,7 @@ import numpy as np
 from .estimates import StepEstimate, _source_cells
 from .graphons import Graphon, canonical_rearrangement, degree_function
 from .jgs import JointOrdering
+from .tv import _require_int
 
 __all__ = ["mise", "mae_latent", "eta_bound", "rank_discrepancy", "EvalReport", "evaluate_estimate"]
 
@@ -80,9 +81,8 @@ def eta_bound(n_sizes, target: tuple[int, int], delta: float, l1: float) -> floa
         raise ValueError("delta must lie strictly inside (0, 1)")
     if l1 <= 0:
         raise ValueError("l1 must be positive")
-    sizes = [int(n) for n in n_sizes]
-    if any(n < 2 for n in sizes):
-        raise ValueError("all graph sizes must be >= 2")
+    sizes = list(n_sizes)
+    _require_int("graph size", *sizes, least=2)
     i, m = target
     if not 0 <= m < len(sizes) or not 0 <= i < sizes[m]:
         raise ValueError("target node out of range")

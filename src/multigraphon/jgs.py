@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collection import GraphCollection
+from .collection import GraphCollection, _split
 from .estimates import StepEstimate
-from .tv import TvParams, tv_smooth
+from .tv import TvParams, _require_int, tv_smooth
 
 __all__ = [
     "DegreeReport",
@@ -49,7 +49,7 @@ class DegreeReport:
     @property
     def per_graph(self) -> tuple[np.ndarray, ...]:
         """Per-graph views of ``degree``."""
-        return tuple(np.split(self.degree, self.node_offsets[1:-1]))
+        return _split(self.degree, self.node_offsets)
 
 
 def normalized_degrees(collection: GraphCollection) -> DegreeReport:
@@ -149,6 +149,16 @@ def _block_of_rank(rank: np.ndarray, N: int, k: int) -> np.ndarray:
     return ((2 * rank.astype(np.int64) - 1) * k) // (2 * N)
 
 
+def _edge_counts(edges: np.ndarray, row_key: np.ndarray, col_key: np.ndarray, size: int) -> np.ndarray:
+    """Histogram over ``size`` cells of the key ``row_key[i] + col_key[j]``
+    of every stored edge (i, j), one chunk of edges at a time."""
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, edges.shape[0], _EDGE_CHUNK):
+        e = edges[start:start + _EDGE_CHUNK]
+        counts += np.bincount(row_key[e[:, 0]] + col_key[e[:, 1]], minlength=size)
+    return counts
+
+
 def _check_ordering(collection: GraphCollection, ordering: JointOrdering) -> None:
     counts = np.bincount(ordering.graph_index, minlength=collection.num_graphs)
     if ordering.n_total != collection.total_nodes or not np.array_equal(
@@ -167,17 +177,12 @@ def jgs_histogram(collection: GraphCollection, ordering: JointOrdering, k: int) 
     Runs in one pass over the collection's edge array (in fixed-size
     chunks) plus one pass over the nodes.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_int("k", k)
     _check_ordering(collection, ordering)
     N = collection.total_nodes
     M = collection.num_graphs
     node_blocks = _block_of_rank(ordering.rank, N, k)
-    half = np.zeros(k * k, dtype=np.int64)
-    for start in range(0, collection.edge_count, _EDGE_CHUNK):
-        e = collection.edges[start:start + _EDGE_CHUNK]
-        half += np.bincount(node_blocks[e[:, 0]] * k + node_blocks[e[:, 1]], minlength=k * k)
-    half = half.reshape(k, k)
+    half = _edge_counts(collection.edges, node_blocks * k, node_blocks, k * k).reshape(k, k)
     counts = np.bincount(ordering.graph_index * k + node_blocks, minlength=M * k).reshape(M, k)
     num = half + half.T  # each stored edge stands for two ordered entries
     denom = counts.T @ counts
@@ -207,8 +212,7 @@ def jgs_histogram_naive(
     pair spans two graphs, then sums observed entries block by block. Blocks
     are the contiguous rank ranges induced by the shared membership rule.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_int("k", k)
     _check_ordering(collection, ordering)
     N = collection.total_nodes
     if N > max_nodes:
@@ -268,12 +272,12 @@ def estimate_jgs(
     if k == "auto":
         k_val, k_mode = select_k(N, M, S, c=c), "auto"
     else:
-        k_val, k_mode = int(k), "fixed"
+        k_val, k_mode = k, "fixed"
     hist = jgs_histogram(collection, ordering, k_val)
     values = hist.values
     method = "jgs"
     params = {
-        "k": k_val,
+        "k": int(k_val),
         "k_mode": k_mode,
         "c": c,
         "degree_divisor": "n-1",

@@ -18,11 +18,14 @@ __all__ = ["TvParams", "TvResult", "rof_energy", "tv_denoise", "tv_smooth"]
 _BLOCK = 16  # steps per block of the iteration; the stop tests run once per block
 
 
-def _require_int(name: str, value, least: int = 1) -> None:
-    """Raise ValueError, naming ``name``, unless ``value`` is an integer >=
-    ``least``; bools and floats are refused whatever their value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _require_int(name: str, *values, least: int = 1) -> None:
+    """Raise ValueError, naming ``name`` and the first bad value, unless every
+    value is an integer >= ``least``; bools and floats are refused whatever
+    their value. The type test runs once per distinct type of the values."""
+    types = set(map(type, values))
+    if any(t is bool or not issubclass(t, numbers.Integral) for t in types) or min(values, default=least) < least:
+        bad = next(v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least)
+        raise ValueError(f"{name} must be an integer >= {least}, got {bad!r}")
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,7 @@ class TestPooledEstimators:
         def refuse(*args, **kwargs):
             raise AssertionError("per-graph work started")
 
-        monkeypatch.setattr("multigraphon.baselines.sas_single", refuse)
+        monkeypatch.setattr("multigraphon.baselines._sas_blocks", refuse)
         coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             estimate_sas_pool(coll, lam=lam)
@@ -257,7 +257,19 @@ class TestPooledEstimators:
         def refuse(*args, **kwargs):
             raise AssertionError("per-graph work started")
 
-        monkeypatch.setattr("multigraphon.baselines.sas_single", refuse)
+        monkeypatch.setattr("multigraphon.baselines._sas_blocks", refuse)
         coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
         with pytest.raises(ValueError, match=re.escape(f"bin width h must be an integer >= 1, got {h!r}")):
             estimate_sas_pool(coll, h=h)
+
+    def test_sas_pool_needs_no_dense_adjacency_or_graph_views(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense adjacency or per-graph views built")
+
+        coll, _ = sample_collection(Graphon.analytic(4), [12, 20, 1], seed=14)
+        want = estimate_sas_pool(coll)
+        monkeypatch.setattr(Graph, "adjacency", refuse)
+        monkeypatch.setattr(GraphCollection, "graphs", property(refuse))
+        est = estimate_sas_pool(coll)
+        assert np.array_equal(est.values, want.values) and est.params["skipped_singletons"] == 1
+        assert sas_single(Graph(4, np.array([[0, 1], [1, 2]])), h=2).shape == (2, 2)

@@ -48,6 +48,24 @@ class TestSizeSpec:
             with pytest.raises(ValueError):
                 SizeSpec.parse(text)
 
+    @pytest.mark.parametrize("fields, message", [
+        # the first two used to draw graphs of 2 nodes and sizes 2..4
+        (dict(kind="fixed", n=2.5), "fixed size n must be an integer >= 1, got 2.5"),
+        (dict(kind="uniform", lo=2.5, hi=4.5), "uniform size lo must be an integer >= 1, got 2.5"),
+        (dict(kind="uniform", lo=2, hi=4.5), "uniform size hi must be an integer >= 2, got 4.5"),
+        (dict(kind="fixed", n=True), "fixed size n must be an integer >= 1, got True"),
+        (dict(kind="uniform", lo=9, hi=2), "uniform size hi must be an integer >= 9, got 2"),
+    ])
+    def test_non_integer_sizes_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SizeSpec(**fields)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = SizeSpec("uniform", lo=np.int64(3), hi=np.int64(5))
+        assert spec.label() == "uniform:3:5"
+        assert spec.draw(np.random.default_rng(0), 4) == SizeSpec("uniform", lo=3, hi=5).draw(np.random.default_rng(0), 4)
+        assert SizeSpec("fixed", n=np.int32(4)).draw(np.random.default_rng(0), 2) == [4, 4]
+
     @pytest.mark.parametrize("text", ["fixed:x", "uniform:1:y"])
     def test_bad_integer_names_the_spec(self, text):
         with pytest.raises(ValueError, match=re.escape(

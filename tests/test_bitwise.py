@@ -1,21 +1,26 @@
-"""Byte-level oracles for the eigensolver and the TV iteration.
+"""Byte-level oracles for the eigensolver, the TV iteration and the
+per-graph degree-sorted histogram.
 
-``frozen_jacobi_eigh`` and ``frozen_tv_denoise`` are verbatim copies of the
-straightforward implementations the package once shipped: one rotation at
-a time on separate row and column copies, and one grid at a time with fresh
-temporaries. The package's versions must reproduce them byte for byte,
-which pins every rounding step of the cyclic Jacobi sweep and of the
-Chambolle iteration, including when and how a grid stops.
+``frozen_jacobi_eigh``, ``frozen_tv_denoise`` and ``frozen_sas_single`` are
+verbatim copies of the straightforward implementations the package once
+shipped: one rotation at a time on separate row and column copies, one grid
+at a time with fresh temporaries, and one block at a time on a dense
+degree-sorted adjacency. The package's versions must reproduce them byte for
+byte, which pins every rounding step of the cyclic Jacobi sweep and of the
+Chambolle iteration, including when and how a grid stops, and every count
+and division of the histogram.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigraphon import tv
+from multigraphon import baselines, tv
 from multigraphon.baselines import estimate_sas_pool, jacobi_eigh, pool_estimates, sas_single
+from multigraphon.bench import SizeSpec, sample_cell
 from multigraphon.collection import Graph, GraphCollection, sample_collection
 from multigraphon.graphons import Graphon
 from multigraphon.tv import TvParams, TvResult, tv_denoise, tv_smooth
@@ -57,6 +62,40 @@ def frozen_jacobi_eigh(a, tol=1e-10, max_sweeps=100):
     if off_norm(a) <= tol:
         return np.diag(a).copy(), v
     raise ArithmeticError("no convergence")
+
+
+def frozen_sas_single(graph, h=None, lam=0.05, smooth=True):
+    if graph.n < 2:
+        raise ValueError("single-graph histogram needs at least 2 nodes")
+    n = graph.n
+    if h is None:
+        h = max(1, math.ceil(math.log(n)))
+    degrees = np.bincount(graph.edges.ravel(), minlength=n).astype(np.int64)
+    order = np.argsort(degrees / (n - 1), kind="stable")
+    a = graph.adjacency()[np.ix_(order, order)]
+    nb = max(1, math.ceil(n / h))
+    bounds = [min(b * h, n) for b in range(nb + 1)]
+    bounds[-1] = n
+    blocks = np.zeros((nb, nb))
+    for s in range(nb):
+        rs = slice(bounds[s], bounds[s + 1])
+        ns = bounds[s + 1] - bounds[s]
+        for t in range(s, nb):
+            ct = slice(bounds[t], bounds[t + 1])
+            nt = bounds[t + 1] - bounds[t]
+            total = float(a[rs, ct].sum())
+            pairs = ns * nt - (ns if s == t else 0)
+            blocks[s, t] = blocks[t, s] = total / max(1, pairs)
+    if smooth:
+        blocks = tv_smooth(blocks, TvParams(lam=lam))
+    return blocks
+
+
+def frozen_sas_pool(coll, h, lam):
+    """``estimate_sas_pool``'s values: the frozen histogram of every graph of
+    >= 2 nodes at the pool's bin width, pooled on the finest grid."""
+    singles = [frozen_sas_single(g, h=h, lam=lam) for g in coll.graphs if g.n >= 2]
+    return pool_estimates(singles, max(s.shape[0] for s in singles))
 
 
 def _grad(u):
@@ -371,8 +410,68 @@ def test_sas_pool_equals_per_graph_pooling():
     for h, lam in ((None, 0.05), (4, 0.3), (1, 0.01)):
         est = estimate_sas_pool(coll, h=h, lam=lam)
         width = est.params["h"]
-        singles = [sas_single(g, h=width, lam=lam) for g in coll.graphs if g.n >= 2]
-        assert len({s.shape for s in singles}) > 2
-        want = pool_estimates(singles, max(s.shape[0] for s in singles))
-        assert same_bytes(est.values, want)
+        assert len({frozen_sas_single(g, h=width, smooth=False).shape for g in coll.graphs if g.n >= 2}) > 2
+        assert same_bytes(est.values, frozen_sas_pool(coll, width, lam))
         assert est.params["skipped_singletons"] == 2
+
+
+@st.composite
+def graph_lists(draw):
+    """1 to 30 graphs of 1 to 60 nodes; each is edgeless, complete or
+    Erdos-Renyi at a drawn density, so degrees tie often."""
+    graphs = []
+    for _ in range(draw(st.integers(1, 30))):
+        n = draw(st.integers(1, 60))
+        p = draw(st.sampled_from([0.0, 1.0, 0.05, 0.3, 0.5, 0.9]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        i, j = np.triu_indices(n, 1)
+        hit = rng.random(i.size) < p
+        graphs.append(Graph(n, np.stack([i[hit], j[hit]], axis=1)))
+    return graphs
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs=graph_lists(), data=st.data())
+def test_sas_matches_frozen_double_loop(graphs, data):
+    n_max = max(g.n for g in graphs)
+    h = data.draw(st.one_of(st.none(), st.integers(1, n_max + 3)), label="h")
+    lam = data.draw(st.sampled_from([0.05, 0.3]), label="lam")
+    for g in graphs:
+        if g.n >= 2:
+            for smooth in (False, True):
+                want = frozen_sas_single(g, h=h, lam=lam, smooth=smooth)
+                assert same_bytes(sas_single(g, h=h, lam=lam, smooth=smooth), want)
+    if n_max >= 2:
+        coll = GraphCollection(graphs)
+        est = estimate_sas_pool(coll, h=h, lam=lam)
+        width = max(1, math.ceil(math.log(n_max))) if h is None else h
+        assert est.params["h"] == width
+        assert same_bytes(est.values, frozen_sas_pool(coll, width, lam))
+        assert est.params["skipped_singletons"] == sum(g.n < 2 for g in graphs)
+
+
+@pytest.mark.parametrize("graphon_id", [1, 10])
+def test_sas_pool_matches_frozen_on_table1_cell(graphon_id):
+    # the Table-1 cell of the ROADMAP: M=200, n ~ U(10, 100), master seed 7, trial 0
+    coll, _, _ = sample_cell(7, graphon_id, 0, SizeSpec.parse("uniform:10:100"), 200)
+    est = estimate_sas_pool(coll)
+    assert same_bytes(est.values, frozen_sas_pool(coll, est.params["h"], 0.05))
+
+
+def test_sas_tables_are_ragged():
+    # 500 graphs of 3 nodes and one of 600 at the default bin width 7: ragged
+    # tables hold 500 + 86**2 = 7,896 cells, while tables padded to the largest
+    # graph's would hold 501 * 86**2 = 3.7M cells, 29.6 MB per float array
+    rng = np.random.default_rng(3)
+    i, j = np.triu_indices(600, 1)
+    hit = rng.random(i.size) < 0.05
+    graphs = [Graph(3, np.array([[0, 1], [1, 2]]))] * 500 + [Graph(600, np.stack([i[hit], j[hit]], axis=1))]
+    coll = GraphCollection(graphs)
+    tracemalloc.start()
+    try:
+        tables = baselines._sas_blocks(coll, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.size for t in tables) == 500 + 86**2
+    assert peak < 4 * 2**20

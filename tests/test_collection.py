@@ -85,6 +85,18 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_collection(Graphon.analytic(1), [0], seed=1)
 
+    @pytest.mark.parametrize("sizes, bad", [([2.9, 3.5], 2.9), ([3, 3.0], 3.0), ([4, True], True), ([5, 0], 0)])
+    def test_sizes_must_be_positive_integers(self, sizes, bad):
+        # [2.9, 3.5] used to sample sizes (2, 3)
+        with pytest.raises(ValueError, match=re.escape(f"graph size must be an integer >= 1, got {bad!r}")):
+            sample_collection(Graphon.analytic(1), sizes, seed=1)
+
+    def test_numpy_integer_sizes_accepted(self):
+        got, latent = sample_collection(Graphon.analytic(1), np.array([3, 4, 1]), seed=1)
+        want, want_latent = sample_collection(Graphon.analytic(1), [3, 4, 1], seed=1)
+        assert got.sizes == (3, 4, 1) and np.array_equal(got.edges, want.edges)
+        assert all(np.array_equal(a, b) for a, b in zip(latent, want_latent))
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=1, max_value=25), seed=st.integers(min_value=0, max_value=2**32))
     def test_edge_count_bound(self, n, seed):
@@ -350,7 +362,7 @@ class TestFlatLayout:
                 assert np.array_equal(g.edges, h.edges)
             report = normalized_degrees(coll)
             for g, d in zip(coll.graphs, report.per_graph):  # per-graph loop reference
-                assert np.array_equal(d, g.degrees() / max(g.n - 1, 1))
+                assert np.array_equal(d, np.bincount(g.edges.ravel(), minlength=g.n) / max(g.n - 1, 1))
             coll_ordering = joint_sort(report)
             assert np.array_equal(coll_ordering.rank, joint_sort(report.per_graph).rank)
             assert jgs_histogram(coll, coll_ordering, k).values.tobytes() == reference

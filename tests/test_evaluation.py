@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ class TestEtaBound:
             eta_bound([1], target=(0, 0), delta=0.5, l1=1.0)
         with pytest.raises(ValueError):
             eta_bound([10], target=(11, 0), delta=0.5, l1=1.0)
+
+    @pytest.mark.parametrize("sizes, bad", [([2.5, 3.9], 2.5), ([4, 3.0], 3.0), ([True, 3], True), ([4, 1], 1)])
+    def test_sizes_must_be_integers_of_at_least_two(self, sizes, bad):
+        # [2.5, 3.9] used to give the bound of [2, 3]
+        with pytest.raises(ValueError, match=re.escape(f"graph size must be an integer >= 2, got {bad!r}")):
+            eta_bound(sizes, target=(0, 0), delta=0.1, l1=1.0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        want = eta_bound([20, 30], target=(1, 1), delta=0.1, l1=1.0)
+        assert eta_bound(np.array([20, 30]), target=(1, 1), delta=0.1, l1=1.0) == want
 
     def test_monotone_in_sizes_and_delta(self):
         small = eta_bound([50, 50], target=(0, 0), delta=0.1, l1=1.0)

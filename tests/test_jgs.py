@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,6 +316,19 @@ class TestEstimateJgs:
         assert smooth.method == "jgs-smooth"
         assert smooth.params["lambda"] == 0.05
         assert not np.array_equal(plain.values, smooth.values)
+
+    @pytest.mark.parametrize("k", [2.7, 2.0, True, "3"])
+    def test_non_integer_k_rejected(self, k):
+        # int(k) used to estimate with k=2 for k=2.7
+        coll, _ = sample_collection(Graphon.analytic(1), [15] * 3, seed=2)
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 1, got {k!r}")):
+            estimate_jgs(coll, k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        coll, _ = sample_collection(Graphon.analytic(1), [15] * 3, seed=2)
+        est = estimate_jgs(coll, k=np.int64(2))
+        assert np.array_equal(est.values, estimate_jgs(coll, k=2).values)
+        assert type(est.params["k"]) is int
 
     def test_singleton_graph_participates(self):
         coll = make_collection((1, np.empty((0, 2))), K2)
