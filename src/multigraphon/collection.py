@@ -18,6 +18,7 @@ the one ``SeedSequence([s, m])`` gives.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from functools import cache
@@ -430,8 +431,89 @@ def save_collection(
             "seed": seed,
         }
         with open(str(path) + ".sidecar.json", "w") as fh:
-            json.dump(sidecar, fh, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(json.dumps(sidecar, separators=(",", ":")) + "\n")
+
+
+# save_collection's line form with every digit run collapsed to "#": a fixed
+# prefix, the edges as "[#,#]" joined by ",", a fixed suffix
+_PREFIX, _PERIOD, _SUFFIX = (
+    np.frombuffer(text, dtype=np.uint8) for text in (b'{"id":#,"n":#,"edges":[', b"[#,#],", b"]}\n")
+)
+_MAX_DIGITS = 18  # every integer of 18 digits fits int64
+_ZERO = np.uint8(ord("0"))
+
+
+def _read_canonical(data: bytes) -> tuple | None:
+    """Sizes, edge counts, local edges and line numbers of the records of a
+    file whose every line has exactly the form save_collection writes,
+    parsed in one vectorized pass; None for any other file.
+
+    The form is ``{"id":D,"n":D,"edges":[[D,D],...]}`` and a newline, the
+    ids counting 0..M-1, where D is ``0`` or up to 18 digits without a
+    leading zero. Record m is on line m + 1.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size == 0 or buf[0] != _PREFIX[0] or buf[-1] != _SUFFIX[-1]:
+        return None
+    digit = buf - _ZERO < 10  # uint8 wraps: only "0".."9" land below 10
+    # the first and last bytes are not digits, so every digit run starts
+    # after a non-digit and ends before one
+    starts = np.flatnonzero(digit[1:] > digit[:-1])
+    starts += 1
+    width = np.flatnonzero(digit[1:] < digit[:-1])
+    width += 1
+    width -= starts
+    if width.max(initial=0) > _MAX_DIGITS or np.any((width > 1) & (buf[starts] == _ZERO)):
+        return None
+    keep = ~digit
+    del digit
+    keep[starts] = True
+    counts = _skeleton_edge_counts(buf[keep])
+    del keep
+    if counts is None:
+        return None
+
+    value = (buf[starts] - _ZERO).astype(np.int64)
+    more = np.flatnonzero(width > 1)
+    for j in range(1, int(width.max(initial=0))):
+        value[more] = value[more] * 10 + (buf[starts[more] + j] - _ZERO)
+        more = more[width[more] > j + 1]
+    del starts, width, more
+    # line m holds 2 + 2 c_m digit runs: id, n, then the endpoints
+    first = _offsets(2 * counts + 2)[:-1]
+    if not np.array_equal(value[first], np.arange(counts.size)):
+        return None
+    sizes = value[first + 1]
+    endpoint = np.ones(value.size, dtype=bool)
+    endpoint[first] = endpoint[first + 1] = False
+    return sizes, counts, value[endpoint].reshape(-1, 2), range(1, counts.size + 1)
+
+
+def _skeleton_edge_counts(skeleton: np.ndarray) -> np.ndarray | None:
+    """Edge count of each line of ``skeleton``, a file's bytes with each digit
+    run cut to its first digit; None unless every line, each digit read as
+    "#", is the prefix, c periods with the last comma dropped, and the
+    suffix. Overwrites ``skeleton``."""
+    np.putmask(skeleton, skeleton - _ZERO < 10, ord("#"))
+    line_end = np.flatnonzero(skeleton == _SUFFIX[-1]) + 1
+    length = np.diff(line_end, prepend=0)
+    body = length - _PREFIX.size - _SUFFIX.size
+    counts = (body + 1) // _PERIOD.size
+    if np.any(np.where(counts > 0, counts * _PERIOD.size - 1, 0) != body):
+        return None
+    line_start = line_end - length
+    for j, ch in enumerate(_PREFIX):
+        if np.any(skeleton[line_start + j] != ch):
+            return None
+    for j, ch in enumerate(_SUFFIX, start=-_SUFFIX.size):
+        if np.any(skeleton[line_end + j] != ch):
+            return None
+    # with a comma in place of its closing bracket, the edge list of a line
+    # with c edges is the period c times: select those 6c bytes of each line
+    skeleton[line_end[counts > 0] - _SUFFIX.size] = ord(",")
+    pieces = np.column_stack([np.full_like(counts, _PREFIX.size), counts * _PERIOD.size, _SUFFIX.size - (counts > 0)])
+    in_edges = np.repeat(np.tile([False, True, False], counts.size), pieces.ravel())
+    return counts if (skeleton[in_edges].reshape(-1, _PERIOD.size) == _PERIOD).all() else None
 
 
 def _parse_record(line: str, m: int) -> tuple[int, list]:
@@ -451,30 +533,42 @@ def _parse_record(line: str, m: int) -> tuple[int, list]:
     return n, endpoints
 
 
+def _read_lines(data: bytes, path) -> tuple[list, list, list, list]:
+    """Sizes, edge counts, flattened edge endpoints and line numbers of the
+    records of a JSON Lines file, read line by line as text (blank lines
+    skipped); raises ValueError naming the line of the first bad record."""
+    sizes, counts, endpoints, linenos = [], [], [], []
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data)), start=1):
+        if not line.strip():
+            continue
+        try:
+            n, ends = _parse_record(line, len(sizes))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed collection record on line {lineno}: {exc}") from exc
+        sizes.append(n)
+        counts.append(len(ends) // 2)
+        endpoints += ends
+        linenos.append(lineno)
+    return sizes, counts, endpoints, linenos
+
+
 def load_collection(path) -> tuple[GraphCollection, tuple | None, dict]:
     """Read a JSONL collection; returns (collection, latent or None, sidecar dict).
 
     Every record must carry an integer ``n``, integer edge endpoints and an
     ``id`` equal to its position among the records (0..M-1); any other
-    record is rejected with its line number. A sidecar ``<path>.sidecar.json``,
-    if there is one, must list for each graph of n nodes its n latent
-    positions as JSON numbers in [0, 1].
+    record is rejected with its line number. A file in save_collection's
+    exact form is parsed in one vectorized pass, any other line by line,
+    with the same result. A sidecar ``<path>.sidecar.json``, if there is
+    one, must list for each graph of n nodes its n latent positions as JSON
+    numbers in [0, 1]; its ``graphon_id`` and ``seed``, if given and not
+    null, must be integers, the seed >= 0.
     """
-    sizes, counts, endpoints, linenos = [], [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                n, ends = _parse_record(line, len(sizes))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: malformed collection record on line {lineno}: {exc}") from exc
-            sizes.append(n)
-            counts.append(len(ends) // 2)
-            endpoints += ends
-            linenos.append(lineno)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    sizes, counts, endpoints, linenos = _read_canonical(data) or _read_lines(data, path)
     try:
-        local = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+        local = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
         collection = GraphCollection.from_edge_lists(sizes, counts, local)
     except InvalidGraph as exc:
         raise ValueError(
@@ -487,7 +581,13 @@ def load_collection(path) -> tuple[GraphCollection, tuple | None, dict]:
             sidecar = json.load(fh)
     except FileNotFoundError:
         return collection, None, {}
-    return collection, _parse_latent(sidecar, collection, path), sidecar
+    latent = _parse_latent(sidecar, collection, path)
+    graphon_id, seed = sidecar.get("graphon_id"), sidecar.get("seed")
+    if graphon_id is not None and type(graphon_id) is not int:
+        raise ValueError(f"{path}: sidecar graphon_id must be an integer or null, got {graphon_id!r}")
+    if seed is not None:
+        _require_int(f"{path}: sidecar seed", seed, least=0)
+    return collection, latent, sidecar
 
 
 def _parse_latent(sidecar, collection: GraphCollection, path) -> tuple:

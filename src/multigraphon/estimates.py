@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tv import _require_int
+
 __all__ = ["StepEstimate", "resample_grid", "save_estimate", "load_estimate"]
 
 
@@ -91,6 +93,8 @@ def load_estimate(path) -> StepEstimate:
             meta = json.load(fh)
     except FileNotFoundError:
         meta = {}
+    if meta.get("seed") is not None:
+        _require_int(f"{path}.meta.json: seed", meta["seed"], least=0)
     return StepEstimate(
         values=values,
         method=meta.get("method", "unknown"),

@@ -487,6 +487,30 @@ class TestCliExitStatus:
         assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize("seed", ["oops", True, -2, 1.5])
+    def test_bad_provenance_seed_rejected(self, tmp_path, capsys, seed):
+        # a sidecar seed used to pass through estimate's meta into evaluate's rows
+        coll_path = tmp_path / "c.jsonl"
+        coll, latent = sample_collection(Graphon.analytic(1), [3, 4], seed=0)
+        save_collection(coll, coll_path, latent=latent, graphon_id=1, seed=0)
+        sidecar = tmp_path / "c.jsonl.sidecar.json"
+        sidecar.write_text(sidecar.read_text().replace('"seed":0', f'"seed":{json.dumps(seed)}'))
+        est = tmp_path / "est.csv"
+        assert main(["estimate", "--collection", str(coll_path), "--method", "jgs", "--out", str(est)]) == 2
+        assert capsys.readouterr().err == (
+            f"multigraphon: error: {coll_path}: sidecar seed must be an integer >= 0, got {seed!r}\n"
+        )
+        assert not est.exists()
+
+        est.write_text("0.5\n")
+        (tmp_path / "est.csv.meta.json").write_text(json.dumps({"method": "jgs", "seed": seed}))
+        rows = tmp_path / "rows.csv"
+        assert main(["evaluate", "--estimate", str(est), "--graphon", "1", "--out", str(rows)]) == 2
+        assert capsys.readouterr().err == (
+            f"multigraphon: error: {est}.meta.json: seed must be an integer >= 0, got {seed!r}\n"
+        )
+        assert not rows.exists()
+
     def test_failed_rows_give_exit_status_1(self, tmp_path, capsys, monkeypatch):
         # the failure of TestBenchmark.test_failures_recorded_not_raised: the
         # evaluation resolution (100) lies below the pooled usvt-pool grid, here

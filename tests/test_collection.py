@@ -1,5 +1,6 @@
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,11 +230,12 @@ class TestVectorizedSeeding:
 
 class TestSidecar:
     @staticmethod
-    def write(tmp_path, latent):
+    def write(tmp_path, latent, provenance=None):
         path = tmp_path / "c.jsonl"
         coll, _ = sample_collection(Graphon.analytic(1), [3, 2], seed=0)
         save_collection(coll, path)
-        (tmp_path / "c.jsonl.sidecar.json").write_text(json.dumps({"latent": latent, "seed": 0}))
+        sidecar = {"latent": latent, **({"seed": 0} if provenance is None else provenance)}
+        (tmp_path / "c.jsonl.sidecar.json").write_text(json.dumps(sidecar))
         return path
 
     def test_numbers_in_unit_interval_accepted(self, tmp_path):
@@ -266,6 +268,27 @@ class TestSidecar:
         with pytest.raises(ValueError, match=re.escape(f"{path}: sidecar latent of {message}")):
             load_collection(path)
 
+    @pytest.mark.parametrize("provenance", [
+        {}, {"graphon_id": None, "seed": None}, {"graphon_id": -1, "seed": 0}, {"graphon_id": 4, "seed": 2**70},
+    ])
+    def test_integer_or_null_provenance_accepted(self, tmp_path, provenance):
+        _, _, sidecar = load_collection(self.write(tmp_path, [[0.1, 0.2, 0.3], [0.4, 0.5]], provenance))
+        assert sidecar == {"latent": [[0.1, 0.2, 0.3], [0.4, 0.5]], **provenance}
+
+    @pytest.mark.parametrize("provenance, message", [
+        ({"seed": "oops"}, "seed must be an integer >= 0, got 'oops'"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": 3.0}, "seed must be an integer >= 0, got 3.0"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"graphon_id": "1", "seed": 0}, "graphon_id must be an integer or null, got '1'"),
+        ({"graphon_id": False}, "graphon_id must be an integer or null, got False"),
+        ({"graphon_id": 1.5}, "graphon_id must be an integer or null, got 1.5"),
+    ], ids=["string-seed", "bool-seed", "float-seed", "negative-seed", "string-id", "bool-id", "float-id"])
+    def test_bad_provenance_rejected(self, tmp_path, provenance, message):
+        path = self.write(tmp_path, [[0.1, 0.2, 0.3], [0.4, 0.5]], provenance)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sidecar {message}")):
+            load_collection(path)
+
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
@@ -287,6 +310,21 @@ class TestJsonl:
         save_collection(coll, p2, latent=latent, graphon_id=4, seed=9)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.jsonl.sidecar.json").read_bytes() == (tmp_path / "b.jsonl.sidecar.json").read_bytes()
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # the exact form that load_collection reads in one vectorized pass
+        graphs = (Graph(3, np.array([[0, 1], [0, 2]])), Graph(1, NO_EDGES), Graph(2, np.array([[0, 1]])))
+        coll = GraphCollection(graphs)
+        path = tmp_path / "c.jsonl"
+        save_collection(coll, path, latent=[[0.5, 0.25, 1.0], [0.0], [0.125, 0.75]], graphon_id=4, seed=12)
+        assert path.read_bytes() == (
+            b'{"id":0,"n":3,"edges":[[0,1],[0,2]]}\n'
+            b'{"id":1,"n":1,"edges":[]}\n'
+            b'{"id":2,"n":2,"edges":[[0,1]]}\n'
+        )
+        assert (tmp_path / "c.jsonl.sidecar.json").read_bytes() == (
+            b'{"latent":[[0.5,0.25,1.0],[0.0],[0.125,0.75]],"graphon_id":4,"seed":12}\n'
+        )
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -324,6 +362,93 @@ class TestJsonl:
         path.write_text("\n".join(records) + "\n")
         with pytest.raises(ValueError, match=f"line {line}:"):
             load_collection(path)
+
+
+def load_outcome(path):
+    """What load_collection gives for ``path``: the flat arrays' bytes, or
+    the error's type and message."""
+    try:
+        coll, _, _ = load_collection(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return coll.node_offsets.tobytes(), coll.edge_offsets.tobytes(), coll.edges.tobytes()
+
+
+def line_by_line_outcome(path):
+    """load_outcome with every file read by the per-line loop, the reference."""
+    with mock.patch.object(collection, "_read_canonical", return_value=None):
+        return load_outcome(path)
+
+
+class TestBulkReader:
+    """Files in save_collection's exact form are read in one vectorized pass;
+    any file gives what the per-line loop gives."""
+
+    BASE = '{"id":0,"n":3,"edges":[[0,1],[1,2]]}\n{"id":1,"n":2,"edges":[]}\n{"id":2,"n":4,"edges":[[0,3]]}\n'
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=30),
+        seed=st.integers(min_value=0, max_value=2**32),
+        spec=st.sampled_from([Graphon.constant(0.0), Graphon.constant(1.0),
+                              Graphon.analytic(1), Graphon.analytic(10)]),
+    )
+    @example(sizes=[1], seed=0, spec=Graphon.constant(1.0))
+    @example(sizes=[1, 5, 1, 2], seed=3, spec=Graphon.constant(0.0))
+    def test_saved_files_match_line_by_line(self, tmp_path_factory, sizes, seed, spec):
+        sampled, _ = sample_collection(spec, sizes, seed)
+        path = tmp_path_factory.mktemp("bulk") / "c.jsonl"
+        save_collection(sampled, path)
+        assert collection._read_canonical(path.read_bytes()) is not None
+        outcome = load_outcome(path)
+        assert outcome == line_by_line_outcome(path)
+        assert outcome == (sampled.node_offsets.tobytes(), sampled.edge_offsets.tobytes(), sampled.edges.tobytes())
+
+    # one line changed; the bulk column says whether the file still has save_collection's exact form
+    @pytest.mark.parametrize("old, new, bulk", [
+        pytest.param('"n":2', '"n": 2', False, id="space"),
+        pytest.param('{"id":1,"n":2,', '{"n":2,"id":1,', False, id="key-order"),
+        pytest.param('{"id":1,"n":2,', '{"n":1,"id":2,', False, id="keys-swapped"),
+        pytest.param('"edges":[]}', '"edges":[]]', False, id="bad-close"),
+        pytest.param("[[0,1],[1,2]]", "[[0,1,1],[2]]", False, id="edge-triple"),
+        pytest.param("[1,2]]}\n", "[1,2]]}\r\n", False, id="crlf"),
+        pytest.param('\n{"id":1', '\n\n{"id":1', False, id="blank-line"),
+        pytest.param("[[0,3]]}\n", "[[0,3]]}", False, id="no-final-newline"),
+        pytest.param('"n":2', '"n":02', False, id="leading-zero"),
+        pytest.param("[[0,3]]", "[[-0,3]]", False, id="minus-zero"),
+        pytest.param('"n":2', '"n":2.0', False, id="float"),
+        pytest.param("[[0,3]]", "[[0,true]]", False, id="bool"),
+        pytest.param('"n":2', '"n":1000000000000000000', False, id="19-digits"),
+        pytest.param('"n":2', '"n":9999999999999999999', False, id="19-digits-overflow"),
+        pytest.param('"n":2', '"n":999999999999999999', True, id="18-digit-n"),
+        pytest.param('"n":4,"edges":[[0,3]]', '"n":100,"edges":[[0,3],[10,99]]', True, id="mixed-widths"),
+        pytest.param("[[0,3]]", "[[0,999999999999999999]]", True, id="18-digit-endpoint"),
+        pytest.param('"id":2', '"id":3', False, id="id-gap"),
+        pytest.param('"n":2', '"n":0', True, id="no-nodes"),
+        pytest.param("[[0,3]]", "[[3,3]]", True, id="self-loop"),
+        pytest.param("[[0,3]]", "[[0,4]]", True, id="out-of-range"),
+        pytest.param("[[0,1],[1,2]]", "[[0,1],[0,1]]", True, id="duplicate-edge"),
+        pytest.param("[[0,1],[1,2]]", "[[1,2],[0,1]]", True, id="unsorted-edges"),
+        pytest.param('"n":2,', '"n":2,"n":3,', False, id="duplicate-key"),
+        pytest.param('"edges":[]}', '"edges":[],"w":1}', False, id="extra-key"),
+    ])
+    def test_perturbed_line_matches_line_by_line(self, tmp_path, old, new, bulk):
+        assert old in self.BASE
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.BASE.replace(old, new, 1), newline="")
+        assert (collection._read_canonical(path.read_bytes()) is not None) == bulk
+        assert load_outcome(path) == line_by_line_outcome(path)
+
+    def test_saved_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        sampled, _ = sample_collection(Graphon.analytic(1), [4, 1, 6], seed=5)
+        path = tmp_path / "c.jsonl"
+        save_collection(sampled, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was parsed line by line")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        assert np.array_equal(load_collection(path)[0].edges, sampled.edges)
 
 
 class TestFlatLayout:
