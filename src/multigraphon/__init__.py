@@ -36,7 +36,6 @@ from .jgs import (
     JointOrdering,
     estimate_jgs,
     jgs_histogram,
-    jgs_histogram_naive,
     joint_sort,
     normalized_degrees,
     select_k,
@@ -69,7 +68,6 @@ __all__ = [
     "graphon_eval",
     "jacobi_eigh",
     "jgs_histogram",
-    "jgs_histogram_naive",
     "joint_sort",
     "load_collection",
     "load_estimate",

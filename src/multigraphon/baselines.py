@@ -15,7 +15,7 @@ import numpy as np
 
 from .collection import Graph, GraphCollection, _offsets, _split
 from .estimates import StepEstimate, resample_grid
-from .jgs import _edge_counts
+from .jgs import _edge_counts, _stable_order
 from .tv import TvParams, _require_int, tv_smooth
 
 __all__ = [
@@ -127,7 +127,9 @@ def _sas_blocks(collection: GraphCollection, h: int) -> list[np.ndarray]:
     graph = np.repeat(np.arange(sizes.size), sizes)
     degree = np.bincount(collection.edges.ravel(), minlength=graph.size)
     rank = np.empty_like(degree)
-    rank[np.lexsort((degree, graph))] = np.arange(graph.size) - collection.node_offsets[graph]
+    # degree < n, so the key orders as (graph, degree) and stays below N
+    order = _stable_order(collection.node_offsets[graph] + degree, graph.size)
+    rank[order] = np.arange(graph.size) - collection.node_offsets[graph]
     bins = rank // h
     nb = -(-sizes // h)
     cells, bin_offsets = _offsets(nb * nb), _offsets(nb)

@@ -7,6 +7,7 @@ full-precision decimals, plus a JSON metadata sidecar ``<path>.meta.json``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,15 +87,39 @@ def save_estimate(est: StepEstimate, path) -> None:
         fh.write("\n")
 
 
+def _check_meta(meta, where: str, rows: int) -> None:
+    """Raise ValueError, naming ``where`` and the field, unless ``meta`` is an
+    object whose present fields have the types ``save_estimate`` writes and
+    whose ``k`` matches the ``rows`` of the CSV."""
+    if not isinstance(meta, dict):
+        raise ValueError(f"{where}: metadata must be a JSON object, got {type(meta).__name__}")
+    for name in ("k", "N", "M", "S", "empty_blocks"):
+        if name in meta:
+            _require_int(f"{where}: {name}", meta[name], least=0)
+    if meta.get("seed") is not None:
+        _require_int(f"{where}: seed", meta["seed"], least=0)
+    if meta.get("k", rows) != rows:
+        raise ValueError(f"{where}: k is {meta['k']} but the estimate has {rows} rows")
+    if not isinstance(meta.get("method", ""), str):
+        raise ValueError(f"{where}: method must be a string, got {meta['method']!r}")
+    if not isinstance(meta.get("params", {}), dict):
+        raise ValueError(f"{where}: params must be a JSON object, got {meta['params']!r}")
+    elapsed = meta.get("elapsed_seconds", 0.0)
+    if not (type(elapsed) is int or type(elapsed) is float and math.isfinite(elapsed)):
+        raise ValueError(f"{where}: elapsed_seconds must be a finite number, got {elapsed!r}")
+
+
 def load_estimate(path) -> StepEstimate:
     values = np.loadtxt(path, delimiter=",", ndmin=2)
+    where = f"{path}.meta.json"
     try:
-        with open(str(path) + ".meta.json") as fh:
+        with open(where) as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         meta = {}
-    if meta.get("seed") is not None:
-        _require_int(f"{path}.meta.json: seed", meta["seed"], least=0)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not valid JSON ({exc})") from None
+    _check_meta(meta, where, values.shape[0])
     return StepEstimate(
         values=values,
         method=meta.get("method", "unknown"),

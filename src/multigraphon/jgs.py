@@ -3,14 +3,17 @@
 The pipeline: per-graph normalized degrees -> one global ascending sort of
 all N nodes in the collection -> equally spaced latent-position estimates
 (rank - 1/2) / N -> a k x k block histogram of observed edge frequencies,
-where only within-graph dyads are observed. A naive merged-matrix version
-of the histogram is kept as a quadratic-memory test oracle.
+where only within-graph dyads are observed.
 
 Block membership uses exact integer arithmetic: the node with rank r lands
 in block floor((2r - 1) k / (2N)), which is precisely the index s-1 of the
 interval I_s = [(s-1)/k, s/k) (last interval closed) containing
-(r - 1/2)/N. Both histogram implementations share this rule, so they agree
-bit for bit.
+(r - 1/2)/N.
+
+The joint sort never compares floats: a normalized degree d/(n-1) takes one
+of T = sum over the distinct graph sizes n of n values, so every node gets
+the dense rank of its value in that table (its level), and a stable radix
+sort of the levels gives the order of a stable float sort in O(N + T log T).
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collection import GraphCollection, _split
+from .collection import GraphCollection, _offsets, _split
 from .estimates import StepEstimate
 from .tv import TvParams, _require_int, tv_smooth
 
@@ -31,18 +34,18 @@ __all__ = [
     "joint_sort",
     "select_k",
     "jgs_histogram",
-    "jgs_histogram_naive",
     "estimate_jgs",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class DegreeReport:
-    """Normalized degree of every node, graph-major, plus which graphs hit
-    the size-1 convention. Graph m's nodes are ``degree[node_offsets[m]:
-    node_offsets[m+1]]``."""
+    """Normalized and integer degree of every node, graph-major, plus which
+    graphs hit the size-1 convention. Graph m's nodes are
+    ``degree[node_offsets[m]:node_offsets[m+1]]``."""
 
     degree: np.ndarray = field(repr=False)
+    count: np.ndarray = field(repr=False)
     node_offsets: np.ndarray = field(repr=False)
     singleton_graphs: tuple[int, ...]
 
@@ -63,7 +66,44 @@ def normalized_degrees(collection: GraphCollection) -> DegreeReport:
     raw = np.bincount(collection.edges.ravel(), minlength=collection.total_nodes)
     divisor = np.repeat(np.maximum(sizes - 1, 1), sizes)
     singletons = np.flatnonzero(sizes == 1)
-    return DegreeReport(raw / divisor, offsets, tuple(singletons.tolist()))
+    return DegreeReport(raw / divisor, raw, offsets, tuple(singletons.tolist()))
+
+
+def _degree_levels(report: DegreeReport) -> tuple[np.ndarray, int]:
+    """Dense rank of every node's normalized degree among all values the
+    collection's graph sizes allow, and the number of distinct values.
+
+    The table holds d/(n-1) for d = 0..n-1 of each distinct size n (0/1 for
+    n = 1), divided as ``normalized_degrees`` divides, so equal levels mean
+    equal floats and levels ascend as the floats do.
+    """
+    sizes = np.diff(report.node_offsets)
+    distinct = np.flatnonzero(np.bincount(sizes))
+    start = _offsets(distinct)
+    table = np.arange(start[-1]) - np.repeat(start[:-1], distinct)
+    values, table_level = np.unique(table / np.repeat(np.maximum(distinct - 1, 1), distinct),
+                                    return_inverse=True)
+    slot = np.repeat(start[np.searchsorted(distinct, sizes)], sizes)
+    slot += report.count
+    # levels that fit 16 bits are gathered as such: the radix sort's own key
+    dtype = np.uint16 if values.size <= 1 << 16 else np.int64
+    return table_level.astype(dtype)[slot], values.size
+
+
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """Stable ascending argsort of non-negative integer keys below ``bound``.
+
+    numpy sorts 16-bit keys with a radix sort, so keys are sorted one 16-bit
+    digit at a time, least significant first: one pass for ``bound <= 2**16``,
+    two up to 2**32.
+    """
+    # the uint16 cast keeps the low 16 bits of each shifted key
+    order = np.argsort(key.astype(np.uint16, copy=False), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +134,9 @@ def joint_sort(degrees, tie_break: str = "index", tie_seed: int | None = None) -
     """Stable ascending sort of all (graph, node) entries by normalized degree.
 
     ``degrees`` is a :class:`DegreeReport` or a sequence of per-graph degree
-    arrays. Ties are broken by (graph, node) enumeration order;
+    arrays; a report is ordered by its exact degree levels, a sequence by
+    the levels ``np.unique`` finds in its floats, both with a radix sort.
+    Ties are broken by (graph, node) enumeration order;
     ``tie_break="random"`` instead breaks them uniformly at random under
     ``tie_seed`` (useful for checking that index tie-breaking introduces no
     systematic bias).
@@ -109,9 +151,15 @@ def joint_sort(degrees, tie_break: str = "index", tie_seed: int | None = None) -
         raise ValueError("need at least one node")
     sizes = np.diff(offsets)
     graph_index = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    node_index = np.arange(d_all.size, dtype=np.int64) - np.repeat(offsets[:-1], sizes)
+    node_index = np.arange(d_all.size, dtype=np.int64)
+    node_index -= np.repeat(offsets[:-1], sizes)
     if tie_break == "index":
-        order = np.argsort(d_all, kind="stable")
+        if isinstance(degrees, DegreeReport):
+            level, levels = _degree_levels(degrees)
+        else:
+            values, level = np.unique(d_all, return_inverse=True)
+            levels = values.size
+        order = _stable_order(level, levels)
     elif tie_break == "random":
         shuffle = np.random.default_rng(tie_seed).permutation(d_all.size)
         order = np.lexsort((shuffle, d_all))
@@ -199,54 +247,6 @@ def jgs_histogram(collection: GraphCollection, ordering: JointOrdering, k: int) 
             "edges_touched": collection.edge_count,
             "nodes_touched": int(N),
         },
-        empty_blocks=int(np.count_nonzero(denom == 0)),
-    )
-
-
-def jgs_histogram_naive(
-    collection: GraphCollection, ordering: JointOrdering, k: int, max_nodes: int = 2000
-) -> StepEstimate:
-    """Literal merged-matrix histogram; quadratic memory, test oracle only.
-
-    Materializes the N x N sorted adjacency with missing entries wherever a
-    pair spans two graphs, then sums observed entries block by block. Blocks
-    are the contiguous rank ranges induced by the shared membership rule.
-    """
-    _require_int("k", k)
-    _check_ordering(collection, ordering)
-    N = collection.total_nodes
-    if N > max_nodes:
-        raise ValueError(f"naive histogram is oracle-scale only (N={N} > {max_nodes})")
-
-    merged = np.full((N, N), np.nan)
-    offsets = collection.node_offsets
-    for m, g in enumerate(collection.graphs):
-        pos = ordering.rank[offsets[m]:offsets[m + 1]] - 1
-        merged[np.ix_(pos, pos)] = g.adjacency()
-
-    observed = ~np.isnan(merged)
-    block_by_rank = _block_of_rank(np.arange(1, N + 1), N, k)
-    # membership blocks are non-decreasing in rank, hence contiguous ranges
-    bounds = np.searchsorted(block_by_rank, np.arange(k + 1))
-    num = np.zeros((k, k), dtype=np.int64)
-    denom = np.zeros((k, k), dtype=np.int64)
-    for s in range(k):
-        rs = slice(bounds[s], bounds[s + 1])
-        for t in range(k):
-            ct = slice(bounds[t], bounds[t + 1])
-            cell = merged[rs, ct]
-            obs = observed[rs, ct]
-            num[s, t] = int(np.nansum(cell))
-            denom[s, t] = int(np.count_nonzero(obs))
-
-    values = num / np.maximum(1, denom)
-    return StepEstimate(
-        values=values,
-        method="jgs-naive",
-        n_total=N,
-        n_graphs=collection.num_graphs,
-        dyad_count=collection.total_dyads,
-        params={"k": k},
         empty_blocks=int(np.count_nonzero(denom == 0)),
     )
 

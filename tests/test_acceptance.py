@@ -20,12 +20,12 @@ from multigraphon.graphons import Graphon
 from multigraphon.jgs import (
     estimate_jgs,
     jgs_histogram,
-    jgs_histogram_naive,
     joint_sort,
     normalized_degrees,
     select_k,
 )
 from multigraphon.tv import TvParams, rof_energy, tv_denoise, tv_smooth
+from oracles import jgs_histogram_naive
 
 MASTER_SEED = 1001
 

@@ -570,3 +570,59 @@ class TestCliExitStatus:
         }[case]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+
+
+class TestEstimateMeta:
+    def evaluate(self, tmp_path, meta_text, csv_text="0.5\n"):
+        est = tmp_path / "est.csv"
+        est.write_text(csv_text)
+        (tmp_path / "est.csv.meta.json").write_text(meta_text)
+        rows = tmp_path / "rows.csv"
+        status = main(["evaluate", "--estimate", str(est), "--graphon", "1", "--out", str(rows)])
+        return status, est, rows
+
+    # the first three used to crash with a traceback (a list meta, a list
+    # params) or exit 0 writing True into the row's M column
+    @pytest.mark.parametrize("meta, message", [
+        ("[1]", "metadata must be a JSON object, got list"),
+        ('{"params":[1]}', "params must be a JSON object, got [1]"),
+        ('{"N":"x","M":true}', "N must be an integer >= 0, got 'x'"),
+        ('{"M":true}', "M must be an integer >= 0, got True"),
+        ('{"k":1.0}', "k must be an integer >= 0, got 1.0"),
+        ('{"S":-1}', "S must be an integer >= 0, got -1"),
+        ('{"empty_blocks":"0"}', "empty_blocks must be an integer >= 0, got '0'"),
+        ('{"k":2}', "k is 2 but the estimate has 1 rows"),
+        ('{"method":5}', "method must be a string, got 5"),
+        ('{"elapsed_seconds":NaN}', "elapsed_seconds must be a finite number, got nan"),
+        ('{"elapsed_seconds":"1"}', "elapsed_seconds must be a finite number, got '1'"),
+        ('{"elapsed_seconds":true}', "elapsed_seconds must be a finite number, got True"),
+        ("{", "not valid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+    ], ids=["list", "params-list", "N-string", "M-bool", "k-float", "S-negative", "empty-string",
+            "k-rows", "method", "elapsed-nan", "elapsed-string", "elapsed-bool", "bad-json"])
+    def test_bad_meta_is_one_line_exit_2(self, tmp_path, capsys, meta, message):
+        status, est, rows = self.evaluate(tmp_path, meta)
+        assert status == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {est}.meta.json: {message}\n"
+        assert not rows.exists()
+
+    @pytest.mark.parametrize("meta", ["{}", '{"seed":null,"elapsed_seconds":3}',
+                                      '{"k":1,"N":0,"M":0,"S":0,"empty_blocks":0,"params":{}}'])
+    def test_partial_meta_accepted(self, tmp_path, meta):
+        assert self.evaluate(tmp_path, meta)[0] == 0
+
+    @pytest.mark.parametrize("method", ["jgs", "jgs-smooth", "sas-pool", "usvt-pool"])
+    def test_every_saved_meta_loads(self, tmp_path, method):
+        from multigraphon.estimates import load_estimate
+
+        coll_path, est = tmp_path / "c.jsonl", tmp_path / "est.csv"
+        assert main(["simulate", "--graphon", "1", "--M", "3", "--sizes", "uniform:1:9",
+                     "--seed", "4", "--out", str(coll_path)]) == 0
+        assert main(["estimate", "--collection", str(coll_path), "--method", method,
+                     "--out", str(est)]) == 0
+        meta = json.loads((tmp_path / "est.csv.meta.json").read_text())
+        loaded = load_estimate(est)
+        assert (loaded.k, loaded.n_total, loaded.n_graphs, loaded.dyad_count) == (
+            meta["k"], meta["N"], meta["M"], meta["S"])
+        assert (loaded.method, loaded.params, loaded.seed) == (method, meta["params"], meta["seed"])
+        assert main(["evaluate", "--estimate", str(est), "--graphon", "1",
+                     "--out", str(tmp_path / "rows.csv")]) == 0

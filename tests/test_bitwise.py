@@ -10,6 +10,7 @@ byte, which pins every rounding step of the cyclic Jacobi sweep and of the
 Chambolle iteration, including when and how a grid stops, and every count
 and division of the histogram.
 """
+import hashlib
 import math
 import tracemalloc
 
@@ -20,10 +21,12 @@ from hypothesis import strategies as st
 
 from multigraphon import baselines, tv
 from multigraphon.baselines import estimate_sas_pool, jacobi_eigh, pool_estimates, sas_single
-from multigraphon.bench import SizeSpec, sample_cell
+from multigraphon.bench import SizeSpec, estimate, sample_cell
 from multigraphon.collection import Graph, GraphCollection, sample_collection
 from multigraphon.graphons import Graphon
+from multigraphon.jgs import joint_sort, normalized_degrees
 from multigraphon.tv import TvParams, TvResult, tv_denoise, tv_smooth
+from oracles import frozen_joint_rank
 
 
 def frozen_jacobi_eigh(a, tol=1e-10, max_sweeps=100):
@@ -456,6 +459,36 @@ def test_sas_pool_matches_frozen_on_table1_cell(graphon_id):
     coll, _, _ = sample_cell(7, graphon_id, 0, SizeSpec.parse("uniform:10:100"), 200)
     est = estimate_sas_pool(coll)
     assert same_bytes(est.values, frozen_sas_pool(coll, est.params["h"], 0.05))
+
+
+def test_sas_blocks_with_more_than_65536_nodes():
+    # N > 2**16: the (graph, degree) rank key takes both 16-bit radix passes;
+    # sparse graphs leave many degree ties for the index tie-break
+    rng = np.random.default_rng(21)
+    graphs = []
+    for n in rng.integers(150, 300, 300):
+        i, j = np.triu_indices(n, 1)
+        hit = rng.random(i.size) < 4 / n
+        graphs.append(Graph(int(n), np.stack([i[hit], j[hit]], axis=1)))
+    coll = GraphCollection(graphs)
+    assert coll.total_nodes > 1 << 16
+    for g, table in zip(graphs, baselines._sas_blocks(coll, 40)):
+        assert same_bytes(table, frozen_sas_single(g, h=40, smooth=False))
+
+
+@pytest.mark.parametrize("graphon_id, digests", [
+    (1, ("70528ba4611d7d86", "51bc730df887953a", "f5093e7bec5afee6")),
+    (10, ("ce3f316bd5049c3e", "72087eaa28cacf77", "ac6e73366e611b21")),
+])
+def test_jgs_bytes_pinned_on_table1_cell(graphon_id, digests):
+    # sha256 prefixes of the jgs and jgs-smooth values and the joint ranks,
+    # recorded with the comparison sort that preceded the degree-level sort
+    coll, _, _ = sample_cell(7, graphon_id, 0, SizeSpec.parse("uniform:10:100"), 200)
+    report = normalized_degrees(coll)
+    rank = joint_sort(report).rank
+    assert rank.tobytes() == frozen_joint_rank(report.per_graph).tobytes()
+    got = [estimate(m, coll).values.tobytes() for m in ("jgs", "jgs-smooth")] + [rank.tobytes()]
+    assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in got) == digests
 
 
 def test_sas_tables_are_ragged():

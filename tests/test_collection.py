@@ -16,7 +16,8 @@ from multigraphon.collection import (
     save_collection,
 )
 from multigraphon.graphons import Graphon, graphon_eval
-from multigraphon.jgs import jgs_histogram, jgs_histogram_naive, joint_sort, normalized_degrees
+from multigraphon.jgs import jgs_histogram, joint_sort, normalized_degrees
+from oracles import jgs_histogram_naive
 
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
 

@@ -11,12 +11,12 @@ from multigraphon.graphons import Graphon
 from multigraphon.jgs import (
     estimate_jgs,
     jgs_histogram,
-    jgs_histogram_naive,
     joint_sort,
     normalized_degrees,
     select_k,
 )
 from multigraphon.tv import TvParams
+from oracles import frozen_joint_rank, jgs_histogram_naive
 
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
 
@@ -95,6 +95,80 @@ class TestJointSort:
         uhat = np.sort(ordering.uhat)
         assert np.all((uhat > 0) & (uhat < 1))
         assert np.allclose(np.diff(uhat), 1.0 / n)
+
+
+def graph_of_kind(n, kind, seed=0, p=0.5):
+    i, j = np.triu_indices(n, 1)
+    if kind == "edgeless":
+        keep = np.zeros(i.size, dtype=bool)
+    elif kind == "complete":
+        keep = np.ones(i.size, dtype=bool)
+    else:
+        keep = np.random.default_rng(seed).random(i.size) < p
+    return Graph(n, np.stack([i[keep], j[keep]], axis=1))
+
+
+@st.composite
+def mixed_collections(draw):
+    graphs = []
+    for _ in range(draw(st.integers(1, 30))):
+        n = draw(st.one_of(st.just(1), st.integers(1, 60)))
+        kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
+        graphs.append(graph_of_kind(n, kind, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0, 1))))
+    return GraphCollection(tuple(graphs))
+
+
+class TestDegreeLevels:
+    """``joint_sort`` orders by a radix sort of exact degree levels; its ranks
+    must be those of the frozen comparison sort of the degree floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_collections())
+    def test_ranks_equal_frozen_sort(self, coll):
+        report = normalized_degrees(coll)
+        want = frozen_joint_rank(report.per_graph).tobytes()
+        assert joint_sort(report).rank.tobytes() == want
+        assert joint_sort(report.per_graph).rank.tobytes() == want
+        level, levels = jgs._degree_levels(report)
+        assert np.array_equal(np.unique(report.degree, return_inverse=True)[1],
+                              np.unique(level, return_inverse=True)[1])
+        assert level.max() < levels
+
+    def test_more_than_65536_levels(self):
+        # the values d/(n-1) of sizes 1..470 hold more than 2**16 distinct
+        # fractions; the dense graphs put nodes on levels on both sides of 2**16
+        graphs = [graph_of_kind(n, "edgeless") for n in range(1, 471)]
+        graphs += [graph_of_kind(470, "complete"), graph_of_kind(469, "random", 1, 0.995),
+                   graph_of_kind(467, "random", 2, 0.5)]
+        report = normalized_degrees(GraphCollection(tuple(graphs)))
+        level, levels = jgs._degree_levels(report)
+        assert levels > 1 << 16
+        assert level.min() == 0 and np.count_nonzero(level >= 1 << 16) > 100
+        want = frozen_joint_rank(report.per_graph).tobytes()
+        assert joint_sort(report).rank.tobytes() == want
+        assert joint_sort(report.per_graph).rank.tobytes() == want
+
+    def test_sequence_with_more_than_65536_levels(self):
+        rng = np.random.default_rng(12)
+        per_graph = [rng.integers(0, 90_000, n) / 90_000 for n in rng.integers(1, 2000, 150)]
+        assert np.unique(np.concatenate(per_graph)).size > 1 << 16
+        assert joint_sort(per_graph).rank.tobytes() == frozen_joint_rank(per_graph).tobytes()
+
+    @pytest.mark.parametrize("bound", [1, 2, 1 << 16, (1 << 16) + 1, 1 << 20, 1 << 33])
+    def test_stable_order_equals_stable_argsort(self, bound):
+        # few distinct keys as well as many: ties must keep index order
+        rng = np.random.default_rng(bound)
+        for distinct in (3, 5000):
+            key = rng.choice(rng.integers(0, bound, distinct), 5000)
+            assert np.array_equal(jgs._stable_order(key, bound), np.argsort(key, kind="stable"))
+
+    @pytest.mark.parametrize("tie_seed", [0, 5, 2**40])
+    def test_random_tie_break_unchanged(self, tie_seed):
+        coll, _ = sample_collection(Graphon.analytic(3), [1, 9, 30, 2, 17], seed=8)
+        report = normalized_degrees(coll)
+        want = frozen_joint_rank(report.per_graph, "random", tie_seed).tobytes()
+        for degrees in (report, report.per_graph):
+            assert joint_sort(degrees, tie_break="random", tie_seed=tie_seed).rank.tobytes() == want
 
 
 class TestSelectK:
