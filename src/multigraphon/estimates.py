@@ -105,7 +105,7 @@ def _check_meta(meta, where: str, rows: int) -> None:
     if not isinstance(meta.get("params", {}), dict):
         raise ValueError(f"{where}: params must be a JSON object, got {meta['params']!r}")
     elapsed = meta.get("elapsed_seconds", 0.0)
-    if not (type(elapsed) is int or type(elapsed) is float and math.isfinite(elapsed)):
+    if not (type(elapsed) is int or (type(elapsed) is float and math.isfinite(elapsed))):
         raise ValueError(f"{where}: elapsed_seconds must be a finite number, got {elapsed!r}")
 
 
