@@ -45,7 +45,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    coll, _, sidecar = load_collection(args.collection)
+    coll, _, sidecar = load_collection(args.collection, latent=False)
     est = replace(bench.estimate(args.method, coll, args.k, args.lam, args.pool_res), seed=sidecar.get("seed"))
     save_estimate(est, args.out)
     print(f"method {est.method}: k={est.params.get('k', est.k)} elapsed {est.elapsed_seconds:.4f}s -> {args.out}")

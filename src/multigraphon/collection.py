@@ -552,7 +552,7 @@ def _read_lines(data: bytes, path) -> tuple[list, list, list, list]:
     return sizes, counts, endpoints, linenos
 
 
-def load_collection(path) -> tuple[GraphCollection, tuple | None, dict]:
+def load_collection(path, *, latent: bool = True) -> tuple[GraphCollection, tuple | None, dict]:
     """Read a JSONL collection; returns (collection, latent or None, sidecar dict).
 
     Every record must carry an integer ``n``, integer edge endpoints and an
@@ -560,9 +560,14 @@ def load_collection(path) -> tuple[GraphCollection, tuple | None, dict]:
     record is rejected with its line number. A file in save_collection's
     exact form is parsed in one vectorized pass, any other line by line,
     with the same result. A sidecar ``<path>.sidecar.json``, if there is
-    one, must list for each graph of n nodes its n latent positions as JSON
-    numbers in [0, 1]; its ``graphon_id`` and ``seed``, if given and not
-    null, must be integers, the seed >= 0.
+    one, must be valid JSON and list for each graph of n nodes its n latent
+    positions as JSON numbers in [0, 1]; its ``graphon_id`` and ``seed``, if
+    given and not null, must be integers, the seed >= 0.
+
+    With ``latent=False`` the latent values are neither converted nor
+    checked (the sidecar's JSON, its shape and its provenance still are):
+    the latent comes back as None and the sidecar dict without its
+    ``latent`` key.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -578,21 +583,32 @@ def load_collection(path) -> tuple[GraphCollection, tuple | None, dict]:
         raise ValueError(f"{path}: integer out of range: {exc}") from exc
     try:
         with open(str(path) + ".sidecar.json") as fh:
-            sidecar = json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         return collection, None, {}
-    latent = _parse_latent(sidecar, collection, path)
+    if latent:
+        sidecar = json.loads(text)
+        values = _parse_latent(sidecar, collection, path)
+    else:
+        # every float token reads as True, which no provenance check accepts:
+        # the scan builds no float object
+        sidecar = json.loads(text, parse_float=bool)
+        _latent_lists(sidecar, collection, path)
+        del sidecar["latent"]
+        values = None
+        if not {type(sidecar.get("graphon_id")), type(sidecar.get("seed"))} <= {int, type(None)}:
+            sidecar = json.loads(text)  # the checks below raise, naming the value as written
     graphon_id, seed = sidecar.get("graphon_id"), sidecar.get("seed")
     if graphon_id is not None and type(graphon_id) is not int:
         raise ValueError(f"{path}: sidecar graphon_id must be an integer or null, got {graphon_id!r}")
     if seed is not None:
         _require_int(f"{path}: sidecar seed", seed, least=0)
-    return collection, latent, sidecar
+    return collection, values, sidecar
 
 
-def _parse_latent(sidecar, collection: GraphCollection, path) -> tuple:
-    """The sidecar's latent positions, one array per graph (views of one
-    array): n JSON numbers in [0, 1] for each graph of n nodes."""
+def _latent_lists(sidecar, collection: GraphCollection, path) -> list:
+    """The sidecar's ``latent`` entry, checked to hold one list of n entries
+    for each graph of n nodes."""
     lists = sidecar.get("latent") if type(sidecar) is dict else None
     if type(lists) is not list or len(lists) != collection.num_graphs:
         raise ValueError(f"{path}: sidecar latent count does not match collection")
@@ -600,7 +616,13 @@ def _parse_latent(sidecar, collection: GraphCollection, path) -> tuple:
     if not set(map(type, lists)) <= {list} or tuple(map(len, lists)) != sizes:
         m, n = next((m, n) for m, (u, n) in enumerate(zip(lists, sizes)) if type(u) is not list or len(u) != n)
         raise ValueError(f"{path}: sidecar latent of graph {m} must be a list of its {n} positions")
-    flat = list(chain.from_iterable(lists))
+    return lists
+
+
+def _parse_latent(sidecar, collection: GraphCollection, path) -> tuple:
+    """The sidecar's latent positions, one array per graph (views of one
+    array): n JSON numbers in [0, 1] for each graph of n nodes."""
+    flat = list(chain.from_iterable(_latent_lists(sidecar, collection, path)))
     try:
         # type(x), not isinstance: bools are ints to Python but not here
         values = np.fromiter(flat, dtype=float, count=len(flat)) if set(map(type, flat)) <= {int, float} else None

@@ -89,8 +89,9 @@ def save_estimate(est: StepEstimate, path) -> None:
 
 def _check_meta(meta, where: str, rows: int) -> None:
     """Raise ValueError, naming ``where`` and the field, unless ``meta`` is an
-    object whose present fields have the types ``save_estimate`` writes and
-    whose ``k`` matches the ``rows`` of the CSV."""
+    object whose present fields have the types ``save_estimate`` writes, whose
+    ``k`` matches the ``rows`` of the CSV and whose ``params.k``, if present,
+    is an integer >= 1."""
     if not isinstance(meta, dict):
         raise ValueError(f"{where}: metadata must be a JSON object, got {type(meta).__name__}")
     for name in ("k", "N", "M", "S", "empty_blocks"):
@@ -104,6 +105,8 @@ def _check_meta(meta, where: str, rows: int) -> None:
         raise ValueError(f"{where}: method must be a string, got {meta['method']!r}")
     if not isinstance(meta.get("params", {}), dict):
         raise ValueError(f"{where}: params must be a JSON object, got {meta['params']!r}")
+    if "k" in meta.get("params", {}):
+        _require_int(f"{where}: params.k", meta["params"]["k"])
     elapsed = meta.get("elapsed_seconds", 0.0)
     if not (type(elapsed) is int or (type(elapsed) is float and math.isfinite(elapsed))):
         raise ValueError(f"{where}: elapsed_seconds must be a finite number, got {elapsed!r}")

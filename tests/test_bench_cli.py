@@ -244,6 +244,35 @@ class TestCli:
         for ga, gb in zip(coll.graphs, resampled.graphs):
             assert np.array_equal(ga.edges, gb.edges)
 
+    def test_estimate_ignores_latent_values(self, tmp_path, capsys):
+        # estimate keeps only the sidecar's seed; evaluate --mae still checks the values
+        coll_path, good, bad = tmp_path / "c.jsonl", tmp_path / "good.csv", tmp_path / "bad.csv"
+        assert main(["simulate", "--graphon", "1", "--M", "4", "--sizes", "fixed:5", "--seed", "3",
+                     "--out", str(coll_path)]) == 0
+        estimate = ["estimate", "--collection", str(coll_path), "--method", "jgs", "--out"]
+        assert main(estimate + [str(good)]) == 0
+        sidecar_path = tmp_path / "c.jsonl.sidecar.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        for m, value in enumerate([1.5, -0.1, "0.5", True]):
+            sidecar["latent"][m][m] = value
+        sidecar_path.write_text(json.dumps(sidecar, separators=(",", ":")))
+        assert main(estimate + [str(bad)]) == 0
+        assert bad.read_bytes() == good.read_bytes()
+        metas = [json.loads((tmp_path / f"{out.name}.meta.json").read_text()) for out in (good, bad)]
+        for meta in metas:
+            meta.pop("elapsed_seconds")
+        assert metas[0] == metas[1]
+
+        message = f"{coll_path}: sidecar latent of graph 0 must hold numbers in [0, 1], got 1.5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_collection(coll_path)
+        capsys.readouterr()
+        rows = tmp_path / "rows.csv"
+        assert main(["evaluate", "--estimate", str(good), "--graphon", "1", "--mae",
+                     "--collection", str(coll_path), "--out", str(rows)]) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+        assert not rows.exists()
+
     def test_estimate_k2_singleton(self, tmp_path):
         coll_path = tmp_path / "k2.jsonl"
         from multigraphon.collection import Graph, GraphCollection
@@ -597,8 +626,13 @@ class TestEstimateMeta:
         ('{"elapsed_seconds":"1"}', "elapsed_seconds must be a finite number, got '1'"),
         ('{"elapsed_seconds":true}', "elapsed_seconds must be a finite number, got True"),
         ("{", "not valid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+        # these exited 0, writing x, True or -3 into the row's k column
+        ('{"params":{"k":"x"}}', "params.k must be an integer >= 1, got 'x'"),
+        ('{"params":{"k":true}}', "params.k must be an integer >= 1, got True"),
+        ('{"params":{"k":-3}}', "params.k must be an integer >= 1, got -3"),
     ], ids=["list", "params-list", "N-string", "M-bool", "k-float", "S-negative", "empty-string",
-            "k-rows", "method", "elapsed-nan", "elapsed-string", "elapsed-bool", "bad-json"])
+            "k-rows", "method", "elapsed-nan", "elapsed-string", "elapsed-bool", "bad-json",
+            "params-k-string", "params-k-bool", "params-k-negative"])
     def test_bad_meta_is_one_line_exit_2(self, tmp_path, capsys, meta, message):
         status, est, rows = self.evaluate(tmp_path, meta)
         assert status == 2

@@ -290,6 +290,44 @@ class TestSidecar:
         with pytest.raises(ValueError, match=re.escape(f"{path}: sidecar {message}")):
             load_collection(path)
 
+    def test_latent_false_gives_same_collection(self, tmp_path):
+        coll, latent = sample_collection(Graphon.analytic(4), [4, 6, 1], seed=9)
+        path = tmp_path / "c.jsonl"
+        save_collection(coll, path, latent=latent, graphon_id=4, seed=9)
+        full, lazy = load_collection(path), load_collection(path, latent=False)
+        for name in ("node_offsets", "edge_offsets", "edges"):
+            assert np.array_equal(getattr(lazy[0], name), getattr(full[0], name))
+        assert lazy[1] is None
+        assert lazy[2] == {"graphon_id": 4, "seed": 9}
+
+    def test_latent_false_skips_latent_values(self, tmp_path):
+        path = self.write(tmp_path, [[1.5, -0.1, "0.5"], [True, 0.5]])
+        assert load_collection(path, latent=False)[2] == {"seed": 0}
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sidecar latent of graph 0 must hold numbers "
+                                                       "in [0, 1], got 1.5")):
+            load_collection(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"latent":[[0.1,0.2,0.3],[0.4,0.5]],"seed":0', "Expecting ',' delimiter: line 1 column 45 (char 44)"),
+        ("[[0.1,0.2,0.3],[0.4,0.5]]", "{path}: sidecar latent count does not match collection"),
+        ('{"latent":[[0.1,0.2,0.3]]}', "{path}: sidecar latent count does not match collection"),
+        ('{"latent":[[0.1],[0.4,0.5]]}', "{path}: sidecar latent of graph 0 must be a list of its 3 positions"),
+        ('{"latent":[[0.1,0.2,0.3],[0.4,0.5]],"seed":3.0}', "{path}: sidecar seed must be an integer >= 0, got 3.0"),
+        ('{"latent":[[0.1,0.2,0.3],[0.4,0.5]],"seed":true}', "{path}: sidecar seed must be an integer >= 0, got True"),
+        ('{"latent":[[0.1,0.2,0.3],[0.4,0.5]],"seed":1e400}', "{path}: sidecar seed must be an integer >= 0, got inf"),
+        ('{"latent":[[0.1,0.2,0.3],[0.4,0.5]],"graphon_id":1.5}',
+         "{path}: sidecar graphon_id must be an integer or null, got 1.5"),
+        ('{"latent":[[0.1,0.2,0.3],[0.4,0.5]],"graphon_id":"1"}',
+         "{path}: sidecar graphon_id must be an integer or null, got '1'"),
+    ], ids=["bad-json", "list", "count", "graph-length", "float-seed", "bool-seed", "huge-seed", "float-id",
+            "string-id"])
+    @pytest.mark.parametrize("latent", [True, False])
+    def test_latent_false_checks_the_rest(self, tmp_path, text, message, latent):
+        path = self.write(tmp_path, [])
+        (tmp_path / "c.jsonl.sidecar.json").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
+            load_collection(path, latent=latent)
+
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
