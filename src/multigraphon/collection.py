@@ -586,13 +586,12 @@ def load_collection(path, *, latent: bool = True) -> tuple[GraphCollection, tupl
             text = fh.read()
     except FileNotFoundError:
         return collection, None, {}
+    # with latent=False every float token reads as True, which no provenance
+    # check accepts: the scan builds no float object
+    sidecar = json.loads(text, parse_float=None if latent else bool)
     if latent:
-        sidecar = json.loads(text)
         values = _parse_latent(sidecar, collection, path)
     else:
-        # every float token reads as True, which no provenance check accepts:
-        # the scan builds no float object
-        sidecar = json.loads(text, parse_float=bool)
         _latent_lists(sidecar, collection, path)
         del sidecar["latent"]
         values = None

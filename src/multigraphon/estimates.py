@@ -103,10 +103,11 @@ def _check_meta(meta, where: str, rows: int) -> None:
         raise ValueError(f"{where}: k is {meta['k']} but the estimate has {rows} rows")
     if not isinstance(meta.get("method", ""), str):
         raise ValueError(f"{where}: method must be a string, got {meta['method']!r}")
-    if not isinstance(meta.get("params", {}), dict):
-        raise ValueError(f"{where}: params must be a JSON object, got {meta['params']!r}")
-    if "k" in meta.get("params", {}):
-        _require_int(f"{where}: params.k", meta["params"]["k"])
+    params = meta.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"{where}: params must be a JSON object, got {params!r}")
+    if "k" in params:
+        _require_int(f"{where}: params.k", params["k"])
     elapsed = meta.get("elapsed_seconds", 0.0)
     if not (type(elapsed) is int or (type(elapsed) is float and math.isfinite(elapsed))):
         raise ValueError(f"{where}: elapsed_seconds must be a finite number, got {elapsed!r}")
