@@ -135,6 +135,14 @@ class ExperimentConfig:
                 raise ValueError("sweep must be one of n, M, k")
             if not self.sweep_values:
                 raise ValueError("sweep requires at least one value")
+        elif self.sweep_values:
+            raise ValueError(f"sweep values {list(self.sweep_values)} given without a sweep")
+        # a repeated entry would run its cells twice and count them twice in the summary
+        for name, values in (("graphon id", self.graphon_ids), ("method", self.methods),
+                             ("sweep value", self.sweep_values)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} {value!r} given more than once")
 
 
 @dataclass(frozen=True)
@@ -308,16 +316,19 @@ def write_results_csv(records, path) -> None:
 def summarize(records) -> list[dict]:
     """Mean and standard deviation per (graphon, M, sizes, method) group.
 
-    The summary view reports MISE scaled by 10^3 (raw rows keep unscaled
-    values); groups follow first-appearance order.
+    In a run that scores a collection more than once within a group (a k
+    sweep does, once per k value), groups are split by ``k`` and each row
+    carries its ``k``. The summary view reports MISE scaled by 10^3 (raw
+    rows keep unscaled values); groups follow first-appearance order.
     """
+    scored = [r for r in records if r.mise is not None]
+    by_k = len({(r.graphon_id, r.num_graphs, r.size_label, r.method, r.seed) for r in scored}) < len(scored)
     groups: dict[tuple, list[ResultRecord]] = {}
-    for rec in records:
-        if rec.mise is None:
-            continue
-        groups.setdefault((rec.graphon_id, rec.num_graphs, rec.size_label, rec.method), []).append(rec)
+    for rec in scored:
+        key = (rec.graphon_id, rec.num_graphs, rec.size_label, rec.method) + ((rec.k,) if by_k else ())
+        groups.setdefault(key, []).append(rec)
     out = []
-    for (gid, m, sizes, method), recs in groups.items():
+    for (gid, m, sizes, method, *k), recs in groups.items():
         mises = np.asarray([r.mise for r in recs])
         maes = [r.mae for r in recs if r.mae is not None]
         out.append({
@@ -325,6 +336,7 @@ def summarize(records) -> list[dict]:
             "M": m,
             "size_spec": sizes,
             "method": method,
+            **({"k": k[0]} if by_k else {}),
             "trials": len(recs),
             "mise_mean_x1e3": float(mises.mean() * 1e3),
             "mise_sd_x1e3": float(mises.std(ddof=1) * 1e3) if len(recs) > 1 else 0.0,
@@ -335,12 +347,17 @@ def summarize(records) -> list[dict]:
 
 
 def format_summary(summary) -> str:
-    header = f"{'graphon':>7} {'M':>5} {'sizes':>16} {'method':>11} {'trials':>6} {'MISE x1e-3':>14} {'MAE':>9} {'sec':>8}"
+    """The summary as a table, with a ``k`` column after the method when
+    the groups were split by ``k``."""
+    by_k = any("k" in row for row in summary)
+    k_head = f" {'k':>4}" if by_k else ""
+    header = f"{'graphon':>7} {'M':>5} {'sizes':>16} {'method':>11}{k_head} {'trials':>6} {'MISE x1e-3':>14} {'MAE':>9} {'sec':>8}"
     lines = [header, "-" * len(header)]
     for row in summary:
         mae = f"{row['mae_mean']:.4f}" if row["mae_mean"] is not None else "-"
+        k = f" {'-' if row.get('k') is None else row['k']:>4}" if by_k else ""
         lines.append(
-            f"{row['graphon_id']:>7} {row['M']:>5} {row['size_spec']:>16} {row['method']:>11} "
+            f"{row['graphon_id']:>7} {row['M']:>5} {row['size_spec']:>16} {row['method']:>11}{k} "
             f"{row['trials']:>6} {row['mise_mean_x1e3']:>7.3f} ± {row['mise_sd_x1e3']:<5.3f}"
             f"{mae:>9} {row['seconds_mean']:>8.3f}"
         )

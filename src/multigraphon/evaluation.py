@@ -51,10 +51,7 @@ def mae_latent(ordering: JointOrdering, truth, orientation: str = "direct") -> f
     generating kernel has a decreasing degree function).
     """
     truth = [np.asarray(u, dtype=float) for u in truth]
-    counts = np.bincount(ordering.graph_index, minlength=len(truth))
-    if len(truth) != np.max(ordering.graph_index) + 1 or not np.array_equal(
-        counts, np.asarray([u.size for u in truth])
-    ):
+    if not np.array_equal(np.diff(ordering.node_offsets), [u.size for u in truth]):
         raise ValueError("latent assignment does not match the ordering's node sets")
     u_true = np.concatenate(truth)
     u_hat = ordering.uhat

@@ -40,14 +40,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DegreeReport:
-    """Normalized and integer degree of every node, graph-major, plus which
-    graphs hit the size-1 convention. Graph m's nodes are
-    ``degree[node_offsets[m]:node_offsets[m+1]]``."""
+    """Integer degree of every node, graph-major, plus which graphs hit the
+    size-1 convention. Graph m's nodes are
+    ``count[node_offsets[m]:node_offsets[m+1]]``."""
 
-    degree: np.ndarray = field(repr=False)
     count: np.ndarray = field(repr=False)
     node_offsets: np.ndarray = field(repr=False)
     singleton_graphs: tuple[int, ...]
+
+    @property
+    def degree(self) -> np.ndarray:
+        """Normalized degree of every node: its count divided by n - 1 (by 1
+        in a single-node graph)."""
+        sizes = np.diff(self.node_offsets)
+        return self.count / np.repeat(np.maximum(sizes - 1, 1), sizes)
 
     @property
     def per_graph(self) -> tuple[np.ndarray, ...]:
@@ -62,11 +68,9 @@ def normalized_degrees(collection: GraphCollection) -> DegreeReport:
     by convention and the graph index is flagged in the report.
     """
     offsets = collection.node_offsets
-    sizes = np.diff(offsets)
-    raw = np.bincount(collection.edges.ravel(), minlength=collection.total_nodes)
-    divisor = np.repeat(np.maximum(sizes - 1, 1), sizes)
-    singletons = np.flatnonzero(sizes == 1)
-    return DegreeReport(raw / divisor, raw, offsets, tuple(singletons.tolist()))
+    count = np.bincount(collection.edges.ravel(), minlength=collection.total_nodes)
+    singletons = np.flatnonzero(np.diff(offsets) == 1)
+    return DegreeReport(count, offsets, tuple(singletons.tolist()))
 
 
 def _degree_levels(report: DegreeReport) -> tuple[np.ndarray, int]:
@@ -74,7 +78,7 @@ def _degree_levels(report: DegreeReport) -> tuple[np.ndarray, int]:
     collection's graph sizes allow, and the number of distinct values.
 
     The table holds d/(n-1) for d = 0..n-1 of each distinct size n (0/1 for
-    n = 1), divided as ``normalized_degrees`` divides, so equal levels mean
+    n = 1), divided as ``DegreeReport.degree`` divides, so equal levels mean
     equal floats and levels ascend as the floats do.
     """
     sizes = np.diff(report.node_offsets)
@@ -110,15 +114,13 @@ def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
 class JointOrdering:
     """Global ascending ordering of all nodes by normalized degree.
 
-    Arrays are aligned with graph-major node enumeration order:
-    entry p describes node ``node_index[p]`` of graph ``graph_index[p]``.
-    Ranks are 1-based positions in the sorted order.
+    ``rank`` holds the 1-based position of every node in the sorted order,
+    in graph-major node enumeration: graph m's nodes are
+    ``rank[node_offsets[m]:node_offsets[m+1]]``.
     """
 
-    graph_index: np.ndarray = field(repr=False)
-    node_index: np.ndarray = field(repr=False)
-    degree: np.ndarray = field(repr=False)
     rank: np.ndarray = field(repr=False)
+    node_offsets: np.ndarray = field(repr=False)
 
     @property
     def n_total(self) -> int:
@@ -130,44 +132,28 @@ class JointOrdering:
         return (self.rank - 0.5) / self.n_total
 
 
-def joint_sort(degrees, tie_break: str = "index", tie_seed: int | None = None) -> JointOrdering:
+def joint_sort(degrees) -> JointOrdering:
     """Stable ascending sort of all (graph, node) entries by normalized degree.
 
     ``degrees`` is a :class:`DegreeReport` or a sequence of per-graph degree
     arrays; a report is ordered by its exact degree levels, a sequence by
     the levels ``np.unique`` finds in its floats, both with a radix sort.
-    Ties are broken by (graph, node) enumeration order;
-    ``tie_break="random"`` instead breaks them uniformly at random under
-    ``tie_seed`` (useful for checking that index tie-breaking introduces no
-    systematic bias).
+    Ties are broken by (graph, node) enumeration order.
     """
     if isinstance(degrees, DegreeReport):
-        d_all, offsets = degrees.degree, degrees.node_offsets
+        offsets = degrees.node_offsets
+        level, levels = _degree_levels(degrees)
     else:
         per_graph = [np.asarray(d, dtype=float) for d in degrees]
-        d_all = np.concatenate(per_graph) if per_graph else np.empty(0)
-        offsets = np.concatenate(([0], np.cumsum([d.size for d in per_graph], dtype=np.int64)))
-    if d_all.size == 0:
+        offsets = _offsets([d.size for d in per_graph])
+        values, level = np.unique(np.concatenate(per_graph) if per_graph else np.empty(0),
+                                  return_inverse=True)
+        levels = values.size
+    if level.size == 0:
         raise ValueError("need at least one node")
-    sizes = np.diff(offsets)
-    graph_index = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    node_index = np.arange(d_all.size, dtype=np.int64)
-    node_index -= np.repeat(offsets[:-1], sizes)
-    if tie_break == "index":
-        if isinstance(degrees, DegreeReport):
-            level, levels = _degree_levels(degrees)
-        else:
-            values, level = np.unique(d_all, return_inverse=True)
-            levels = values.size
-        order = _stable_order(level, levels)
-    elif tie_break == "random":
-        shuffle = np.random.default_rng(tie_seed).permutation(d_all.size)
-        order = np.lexsort((shuffle, d_all))
-    else:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    rank = np.empty(d_all.size, dtype=np.int64)
-    rank[order] = np.arange(1, d_all.size + 1)
-    return JointOrdering(graph_index, node_index, d_all, rank)
+    rank = np.empty(level.size, dtype=np.int64)
+    rank[_stable_order(level, levels)] = np.arange(1, level.size + 1)
+    return JointOrdering(rank, offsets)
 
 
 def select_k(N: int, M: int, S: int, c: float = 2.0) -> int:
@@ -208,10 +194,7 @@ def _edge_counts(edges: np.ndarray, row_key: np.ndarray, col_key: np.ndarray, si
 
 
 def _check_ordering(collection: GraphCollection, ordering: JointOrdering) -> None:
-    counts = np.bincount(ordering.graph_index, minlength=collection.num_graphs)
-    if ordering.n_total != collection.total_nodes or not np.array_equal(
-        counts, np.diff(collection.node_offsets)
-    ):
+    if not np.array_equal(ordering.node_offsets, collection.node_offsets):
         raise ValueError("ordering does not cover exactly the collection's nodes")
 
 
@@ -231,7 +214,8 @@ def jgs_histogram(collection: GraphCollection, ordering: JointOrdering, k: int) 
     M = collection.num_graphs
     node_blocks = _block_of_rank(ordering.rank, N, k)
     half = _edge_counts(collection.edges, node_blocks * k, node_blocks, k * k).reshape(k, k)
-    counts = np.bincount(ordering.graph_index * k + node_blocks, minlength=M * k).reshape(M, k)
+    graph_key = np.repeat(np.arange(0, M * k, k), np.diff(collection.node_offsets))
+    counts = np.bincount(graph_key + node_blocks, minlength=M * k).reshape(M, k)
     num = half + half.T  # each stored edge stands for two ordered entries
     denom = counts.T @ counts
 
@@ -255,9 +239,6 @@ def estimate_jgs(
     collection: GraphCollection,
     k: int | str = "auto",
     smoothing: TvParams | None = None,
-    c: float = 2.0,
-    tie_break: str = "index",
-    tie_seed: int | None = None,
 ) -> StepEstimate:
     """Full estimation pipeline: degrees, joint sort, block count, histogram.
 
@@ -267,10 +248,10 @@ def estimate_jgs(
     """
     t0 = time.perf_counter()
     report = normalized_degrees(collection)
-    ordering = joint_sort(report, tie_break=tie_break, tie_seed=tie_seed)
+    ordering = joint_sort(report)
     N, M, S = collection.total_nodes, collection.num_graphs, collection.total_dyads
     if k == "auto":
-        k_val, k_mode = select_k(N, M, S, c=c), "auto"
+        k_val, k_mode = select_k(N, M, S), "auto"
     else:
         k_val, k_mode = k, "fixed"
     hist = jgs_histogram(collection, ordering, k_val)
@@ -279,10 +260,10 @@ def estimate_jgs(
     params = {
         "k": int(k_val),
         "k_mode": k_mode,
-        "c": c,
+        "c": 2.0,
         "degree_divisor": "n-1",
         "singleton_graphs": len(report.singleton_graphs),
-        "tie_break": tie_break,
+        "tie_break": "index",
     }
     if smoothing is not None and smoothing.lam > 0:
         values = tv_smooth(values, smoothing)

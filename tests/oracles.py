@@ -14,15 +14,11 @@ from multigraphon.jgs import JointOrdering, _block_of_rank, _check_ordering
 from multigraphon.tv import _require_int
 
 
-def frozen_joint_rank(degrees, tie_break="index", tie_seed=None) -> np.ndarray:
-    """1-based ranks of ``joint_sort(degrees, tie_break, tie_seed)`` for a
-    sequence of per-graph degree arrays."""
+def frozen_joint_rank(degrees) -> np.ndarray:
+    """1-based ranks of ``joint_sort(degrees)`` for a sequence of per-graph
+    degree arrays."""
     d_all = np.concatenate([np.asarray(d, dtype=float) for d in degrees])
-    if tie_break == "index":
-        order = np.argsort(d_all, kind="stable")
-    else:
-        shuffle = np.random.default_rng(tie_seed).permutation(d_all.size)
-        order = np.lexsort((shuffle, d_all))
+    order = np.argsort(d_all, kind="stable")
     rank = np.empty(d_all.size, dtype=np.int64)
     rank[order] = np.arange(1, d_all.size + 1)
     return rank

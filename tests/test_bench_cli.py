@@ -11,6 +11,7 @@ from multigraphon.bench import (
     SizeSpec,
     _worker_count,
     collection_seed,
+    format_summary,
     run_benchmark,
     summarize,
     write_results_csv,
@@ -97,6 +98,19 @@ class TestConfigValidation:
     def test_sweep_needs_values(self):
         with pytest.raises(ValueError):
             ExperimentConfig(**self.base(sweep="n"))
+
+    def test_values_need_a_sweep(self):
+        with pytest.raises(ValueError, match=re.escape("sweep values [10, 20] given without a sweep")):
+            ExperimentConfig(**self.base(sweep_values=(10, 20)))
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(graphon_ids=(1, 4, 1)), "graphon id 1 given more than once"),
+        (dict(methods=("jgs", "sas-pool", "jgs")), "method 'jgs' given more than once"),
+        (dict(sweep="n", sweep_values=(10, 10)), "sweep value 10 given more than once"),
+    ], ids=["graphon", "method", "sweep-value"])
+    def test_repeated_entries_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**self.base(**fields))
 
     def test_unknown_graphon_rejected_before_any_cell(self):
         with pytest.raises(ValueError, match="unknown analytic graphon id 99"):
@@ -192,6 +206,17 @@ class TestBenchmark:
         assert len(records) == 3
         assert len({r.seed for r in records}) == 1  # same data, different k
         assert [r.k for r in records] == [1, 2, 3]
+
+    def test_k_sweep_summary_keeps_k_values_apart(self):
+        cfg = self.small_cfg(graphon_ids=(1,), methods=("jgs",), sweep="k", sweep_values=(2, 8), trials=2)
+        records = run_benchmark(cfg)
+        summary = summarize(records)
+        assert [(row["k"], row["trials"]) for row in summary] == [(2, 2), (8, 2)]
+        for row in summary:
+            assert row["mise_mean_x1e3"] == np.mean([r.mise for r in records if r.k == row["k"]]) * 1e3
+        assert summary[0]["mise_mean_x1e3"] != summary[1]["mise_mean_x1e3"]
+        table = format_summary(summary).splitlines()
+        assert table[0].split()[4] == "k" and [line.split()[4] for line in table[2:]] == ["2", "8"]
 
     def test_summary_groups(self):
         records = run_benchmark(self.small_cfg())
@@ -446,8 +471,16 @@ class TestCliExitStatus:
         (["--graphon", "1", "--sizes", "fixed:6", "--seed", "-1"], None,
          "seed must be an integer >= 0, got -1"),
         (["--graphon", "1", "--sizes", "fixed:6", "--M", "0"], None, "M must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--values", "10,20"], None,
+         "sweep values [10, 20] given without a sweep"),
+        (["--graphon", "1,1", "--sizes", "fixed:6"], None, "graphon id 1 given more than once"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--method", "jgs"], None,
+         "method 'jgs' given more than once"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "10,10"], None,
+         "sweep value 10 given more than once"),
     ], ids=["sizes", "jobs", "graphon", "values", "res", "k", "sweep-k", "sweep-n", "sweep-M",
-            "pool-res", "seed", "M"])
+            "pool-res", "seed", "M", "values-without-sweep", "repeated-graphon", "repeated-method",
+            "repeated-sweep-value"])
     def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      args, jobs, message):
         def refuse(cfg):

@@ -98,6 +98,11 @@ class TestMaeLatent:
         with pytest.raises(ValueError):
             mae_latent(ordering, [np.array([0.5])])
 
+    def test_same_node_count_other_graph_sizes_rejected(self):
+        ordering = ordering_from_degrees([[0.1, 0.2], [0.3, 0.4, 0.5]])
+        with pytest.raises(ValueError, match="does not match"):
+            mae_latent(ordering, [np.full(3, 0.5), np.full(2, 0.5)])
+
     def test_always_within_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -25,8 +26,8 @@ def make_collection(*graphs):
     return GraphCollection(tuple(Graph(n, np.asarray(e, dtype=np.int64).reshape(-1, 2)) for n, e in graphs))
 
 
-def ordering_of(coll, **kw):
-    return joint_sort(normalized_degrees(coll).per_graph, **kw)
+def ordering_of(coll):
+    return joint_sort(normalized_degrees(coll).per_graph)
 
 
 K2 = (2, [[0, 1]])
@@ -56,7 +57,10 @@ class TestNormalizedDegrees:
 class TestJointSort:
     def test_two_graph_example(self):
         ordering = joint_sort([[0.5, 1.0], [0.0, 0.75]])
-        uhat = {(g, i): u for g, i, u in zip(ordering.graph_index, ordering.node_index, ordering.uhat)}
+        assert ordering.node_offsets.tolist() == [0, 2, 4]
+        assert ordering.rank.tolist() == [2, 4, 1, 3]
+        off = ordering.node_offsets
+        uhat = {(g, i): ordering.uhat[off[g] + i] for g in (0, 1) for i in (0, 1)}
         assert uhat[(1, 0)] == pytest.approx(0.125)
         assert uhat[(0, 0)] == pytest.approx(0.375)
         assert uhat[(1, 1)] == pytest.approx(0.625)
@@ -68,11 +72,6 @@ class TestJointSort:
     def test_tie_break_follows_enumeration(self):
         ordering = joint_sort([[0.5, 0.5], [0.5, 0.5]])
         assert ordering.rank.tolist() == [1, 2, 3, 4]
-
-    def test_random_tie_break_is_seeded(self):
-        a = joint_sort([[0.5, 0.5], [0.5, 0.5]], tie_break="random", tie_seed=5)
-        b = joint_sort([[0.5, 0.5], [0.5, 0.5]], tie_break="random", tie_seed=5)
-        assert np.array_equal(a.rank, b.rank)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -89,8 +88,9 @@ class TestJointSort:
     def test_invariants(self, degs):
         ordering = joint_sort(degs)
         n = ordering.n_total
+        assert ordering.node_offsets.tolist() == np.cumsum([0] + [len(d) for d in degs]).tolist()
         assert sorted(ordering.rank.tolist()) == list(range(1, n + 1))
-        by_rank = ordering.degree[np.argsort(ordering.rank)]
+        by_rank = np.concatenate(degs)[np.argsort(ordering.rank)]
         assert np.all(np.diff(by_rank) >= 0)
         uhat = np.sort(ordering.uhat)
         assert np.all((uhat > 0) & (uhat < 1))
@@ -161,14 +161,6 @@ class TestDegreeLevels:
         for distinct in (3, 5000):
             key = rng.choice(rng.integers(0, bound, distinct), 5000)
             assert np.array_equal(jgs._stable_order(key, bound), np.argsort(key, kind="stable"))
-
-    @pytest.mark.parametrize("tie_seed", [0, 5, 2**40])
-    def test_random_tie_break_unchanged(self, tie_seed):
-        coll, _ = sample_collection(Graphon.analytic(3), [1, 9, 30, 2, 17], seed=8)
-        report = normalized_degrees(coll)
-        want = frozen_joint_rank(report.per_graph, "random", tie_seed).tobytes()
-        for degrees in (report, report.per_graph):
-            assert joint_sort(degrees, tie_break="random", tie_seed=tie_seed).rank.tobytes() == want
 
 
 class TestSelectK:
@@ -244,6 +236,13 @@ class TestHistogram:
         coll = make_collection(K2)
         other = ordering_of(make_collection((3, [[0, 1]])))
         with pytest.raises(ValueError):
+            jgs_histogram(coll, other, 2)
+
+    def test_same_node_count_other_graph_sizes_rejected(self):
+        coll = make_collection((3, [[0, 1]]), K2)
+        other = ordering_of(make_collection(K2, (3, [[0, 1]])))
+        assert other.n_total == coll.total_nodes
+        with pytest.raises(ValueError, match="does not cover exactly"):
             jgs_histogram(coll, other, 2)
 
     def test_estimate_type_invariants_enforced(self):
@@ -376,6 +375,16 @@ class TestEstimateJgs:
         anti_diag = est.values[np.arange(k), k - 1 - np.arange(k)]
         assert np.all(np.abs(anti_diag - 0.5) < 0.1)
         assert est.values[0, 0] < 0.35  # corner selection bias is real
+
+    def test_params_are_those_recorded(self):
+        # the exact params, in order and type, that saved estimate metas hold
+        coll, _ = sample_collection(Graphon.analytic(1), [1, 15, 15, 15], seed=2)
+        assert json.dumps(estimate_jgs(coll, k="auto").params) == (
+            '{"k": 2, "k_mode": "auto", "c": 2.0, "degree_divisor": "n-1", '
+            '"singleton_graphs": 1, "tie_break": "index"}')
+        assert json.dumps(estimate_jgs(coll, k=3, smoothing=TvParams(lam=0.05)).params) == (
+            '{"k": 3, "k_mode": "fixed", "c": 2.0, "degree_divisor": "n-1", '
+            '"singleton_graphs": 1, "tie_break": "index", "lambda": 0.05}')
 
     def test_auto_k_recorded(self):
         coll, _ = sample_collection(Graphon.analytic(1), [20] * 4, seed=1)
