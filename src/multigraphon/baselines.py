@@ -144,31 +144,25 @@ def _sas_blocks(collection: GraphCollection, h: int) -> list[np.ndarray]:
     return [v.reshape(n, n) for v, n in zip(_split(values, cells), nb.tolist())]
 
 
-def usvt_single(graph: Graph, tau: float | None = None, n_ref: int | None = None) -> np.ndarray:
+def usvt_single(graph: Graph, tau: float | None = None) -> np.ndarray:
     """Spectral-threshold probability matrix for one graph.
 
     Eigenpairs of the adjacency with |eigenvalue| >= tau are retained and
     the reconstruction is clipped to [0, 1]. Default threshold is
-    0.2 sqrt(n) with the graph's own size; pass ``n_ref`` to use a
-    collection-level reference size instead. A given ``tau`` must be finite
-    and > 0.
+    0.2 sqrt(n); a given ``tau`` must be finite and > 0.
     """
     if graph.n < 2:
         raise ValueError("spectral estimate needs at least 2 nodes")
     if tau is None:
-        tau = 0.2 * math.sqrt(n_ref if n_ref is not None else graph.n)
-    _check_tau(tau)
+        tau = 0.2 * math.sqrt(graph.n)
+    # NaN fails both comparisons; an infinite threshold would keep nothing
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"threshold tau must be finite and > 0, got {tau!r}")
     w, v = jacobi_eigh(graph.adjacency())
     keep = np.abs(w) >= tau
     recon = (v[:, keep] * w[keep]) @ v[:, keep].T
     recon = 0.5 * (recon + recon.T)
     return np.clip(recon, 0.0, 1.0)
-
-
-def _check_tau(tau: float) -> None:
-    # NaN fails both comparisons; an infinite threshold would keep nothing
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"threshold tau must be finite and > 0, got {tau!r}")
 
 
 def pool_estimates(per_graph, resolution: int) -> np.ndarray:
@@ -196,20 +190,18 @@ def _poolable(collection: GraphCollection, per_graph) -> list:
     return kept
 
 
-def _pooled_estimate(collection: GraphCollection, ests: list, resolution: int | None, method: str,
-                     params: dict, t0: float) -> StepEstimate:
+def _pooled_estimate(collection: GraphCollection, ests: list, method: str, params: dict,
+                     t0: float) -> StepEstimate:
     """The pooled estimate of the collection from per-graph estimates, on a
-    grid as fine as the finest of them unless ``resolution`` is given; the
-    elapsed time counts from ``t0``."""
-    if resolution is None:
-        resolution = max(e.shape[0] for e in ests)
+    grid as fine as the finest of them; the elapsed time counts from ``t0``."""
+    resolution = max(e.shape[0] for e in ests)
     return StepEstimate(
         values=pool_estimates(ests, resolution),
         method=method,
         n_total=collection.total_nodes,
         n_graphs=collection.num_graphs,
         dyad_count=collection.total_dyads,
-        params={**params, "resolution": int(resolution), "skipped_singletons": collection.num_graphs - len(ests)},
+        params={**params, "resolution": resolution, "skipped_singletons": collection.num_graphs - len(ests)},
         elapsed_seconds=time.perf_counter() - t0,
     )
 
@@ -230,15 +222,14 @@ def estimate_sas_pool(
     collection: GraphCollection,
     h: int | None = None,
     lam: float = DEFAULT_SAS_LAMBDA,
-    resolution: int | None = None,
 ) -> StepEstimate:
     """Pooled degree-sorted histogram baseline over the whole collection.
 
     Bin width defaults to ceil(ln n_max) shared by every graph. Size-1
-    graphs carry no dyad information and are skipped. The common grid
-    defaults to the finest per-graph estimate. Equal to pooling
-    ``sas_single`` of every graph, byte for byte; the TV smoothing of
-    same-shape block matrices runs as one batch.
+    graphs carry no dyad information and are skipped. The common grid is
+    the finest per-graph estimate. Equal to pooling ``sas_single`` of every
+    graph, byte for byte; the TV smoothing of same-shape block matrices
+    runs as one batch.
     """
     t0 = time.perf_counter()
     smoothing = TvParams(lam=lam)  # bad parameters fail before any per-graph work
@@ -246,24 +237,12 @@ def estimate_sas_pool(
         h = max(1, math.ceil(math.log(max(collection.sizes))))
     _require_int("bin width h", h)
     ests = _smooth_by_shape(_poolable(collection, _sas_blocks(collection, h)), smoothing)
-    return _pooled_estimate(collection, ests, resolution, "sas-pool", {"h": int(h), "lambda": lam}, t0)
+    return _pooled_estimate(collection, ests, "sas-pool", {"h": int(h), "lambda": lam}, t0)
 
 
-def estimate_usvt_pool(
-    collection: GraphCollection,
-    tau: float | None = None,
-    use_nmax: bool = False,
-    resolution: int | None = None,
-) -> StepEstimate:
-    """Pooled spectral-threshold baseline over the whole collection.
-
-    By default each graph is thresholded at 0.2 sqrt(n) with its own size;
-    ``use_nmax`` switches to the largest size in the collection.
-    """
+def estimate_usvt_pool(collection: GraphCollection) -> StepEstimate:
+    """Pooled spectral-threshold baseline over the whole collection: each
+    graph is thresholded at 0.2 sqrt(n) with its own size."""
     t0 = time.perf_counter()
-    if tau is not None:
-        _check_tau(tau)  # before any per-graph work
-    graphs = _poolable(collection, collection.graphs)
-    n_max = max(g.n for g in graphs)
-    ests = [usvt_single(g, tau=tau, n_ref=n_max if use_nmax else None) for g in graphs]
-    return _pooled_estimate(collection, ests, resolution, "usvt-pool", {"tau": tau, "use_nmax": use_nmax}, t0)
+    ests = [usvt_single(g) for g in _poolable(collection, collection.graphs)]
+    return _pooled_estimate(collection, ests, "usvt-pool", {"tau": None, "use_nmax": False}, t0)

@@ -108,7 +108,6 @@ class ExperimentConfig:
     resolution: int = 1000
     sweep: str | None = None
     sweep_values: tuple[int, ...] = ()
-    pool_resolution: int | None = None
 
     def __post_init__(self):
         # every bad value fails here, before any cell runs
@@ -117,8 +116,6 @@ class ExperimentConfig:
         _require_int("seed", self.seed, least=0)
         _require_int("resolution", self.resolution)
         _check_k(self.k)
-        if self.pool_resolution is not None:
-            _require_int("pool resolution", self.pool_resolution)
         _require_int("sweep value", *self.sweep_values)
         if not self.graphon_ids:
             raise ValueError("need at least one graphon id")
@@ -135,6 +132,10 @@ class ExperimentConfig:
                 raise ValueError("sweep must be one of n, M, k")
             if not self.sweep_values:
                 raise ValueError("sweep requires at least one value")
+            # a pooled baseline ignores k: a k sweep would score its collection once per value
+            pooled = [m for m in self.methods if m in ("sas-pool", "usvt-pool")]
+            if self.sweep == "k" and pooled:
+                raise ValueError(f"a k sweep does not apply to method {pooled[0]!r}, which takes no k")
         elif self.sweep_values:
             raise ValueError(f"sweep values {list(self.sweep_values)} given without a sweep")
         # a repeated entry would run its cells twice and count them twice in the summary
@@ -194,29 +195,24 @@ def sample_cell(seed: int, graphon_id: int, trial: int, sizes: SizeSpec,
     return coll, latent, sub
 
 
-def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: float = 0.05,
-             pool_resolution: int | None = None) -> StepEstimate:
+def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: float = 0.05) -> StepEstimate:
     """Run one of :data:`METHODS` on a collection.
 
-    ``k`` is the jgs block count, ``lam`` the TV weight of ``jgs-smooth`` and
-    ``sas-pool``, and ``pool_resolution`` the common grid of the pooled
-    baselines (their finest per-graph estimate when None). A ``lam`` that is
-    not finite and >= 0, a ``k`` that is neither "auto" nor an integer >= 1,
-    or a ``pool_resolution`` that is neither None nor an integer >= 1 raises
-    ValueError before any work, whatever the method.
+    ``k`` is the jgs block count and ``lam`` the TV weight of ``jgs-smooth``
+    and ``sas-pool``. A ``lam`` that is not finite and >= 0 or a ``k`` that
+    is neither "auto" nor an integer >= 1 raises ValueError before any work,
+    whatever the method.
     """
     smoothing = TvParams(lam=lam)
     _check_k(k)
-    if pool_resolution is not None:
-        _require_int("pool resolution", pool_resolution)
     if method == "jgs":
         return estimate_jgs(coll, k=k)
     if method == "jgs-smooth":
         return estimate_jgs(coll, k=k, smoothing=smoothing)
     if method == "sas-pool":
-        return estimate_sas_pool(coll, lam=lam, resolution=pool_resolution)
+        return estimate_sas_pool(coll, lam=lam)
     if method == "usvt-pool":
-        return estimate_usvt_pool(coll, resolution=pool_resolution)
+        return estimate_usvt_pool(coll)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -243,7 +239,7 @@ def _run_cell(cfg: ExperimentConfig, graphon_id: int, sweep_value: int | None, t
     ordering = None  # the joint ordering MAE scores; shared by the jgs methods
     for method in cfg.methods:
         try:
-            est = estimate(method, coll, k, cfg.lam, cfg.pool_resolution)
+            est = estimate(method, coll, k, cfg.lam)
             is_jgs = method in ("jgs", "jgs-smooth")
             if is_jgs and ordering is None:
                 ordering = joint_sort(normalized_degrees(coll))

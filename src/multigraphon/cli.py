@@ -46,7 +46,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     coll, _, sidecar = load_collection(args.collection, latent=False)
-    est = replace(bench.estimate(args.method, coll, args.k, args.lam, args.pool_res), seed=sidecar.get("seed"))
+    est = replace(bench.estimate(args.method, coll, args.k, args.lam), seed=sidecar.get("seed"))
     save_estimate(est, args.out)
     print(f"method {est.method}: k={est.params.get('k', est.k)} elapsed {est.elapsed_seconds:.4f}s -> {args.out}")
     return 0
@@ -117,7 +117,6 @@ def cmd_benchmark(args) -> int:
         resolution=args.res,
         sweep=args.sweep,
         sweep_values=_int_list(args.values, "--values") if args.values else (),
-        pool_resolution=args.pool_res,
     )
     bench.jobs_setting()
     records = bench.run_benchmark(cfg)
@@ -150,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=bench.METHODS)
     p.add_argument("--k", type=_parse_k, default="auto", help="block count or 'auto'")
     p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.add_argument("--pool-res", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -184,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=1000)
     p.add_argument("--sweep", choices=("n", "M", "k"), default=None)
     p.add_argument("--values", default=None, help="comma-separated sweep values")
-    p.add_argument("--pool-res", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
     return parser

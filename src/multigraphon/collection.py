@@ -62,6 +62,15 @@ def _split(values: np.ndarray, offsets: np.ndarray) -> tuple:
     return tuple(values[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; a non-empty array of any dtype but an
+    integer one is refused, not truncated."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {a.dtype} values")
+    return a.astype(np.int64, copy=False)
+
+
 def _graph_of(offsets: np.ndarray, position) -> int:
     """Index of the graph whose range in ``offsets`` holds ``position``."""
     return int(np.searchsorted(offsets, position, side="right")) - 1
@@ -108,7 +117,8 @@ class Graph:
     edges: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        _require_int("graph size n", self.n)
+        e = _integers(self.edges, "edge endpoints").reshape(-1, 2)
         try:
             _global_edges(np.array([0, self.n], dtype=np.int64), np.array([0, e.shape[0]]), e.copy())
         except InvalidGraph as exc:
@@ -156,7 +166,8 @@ class GraphCollection:
     def from_edge_lists(cls, sizes, edge_counts, local_edges: np.ndarray) -> "GraphCollection":
         """Build from graph sizes, per-graph edge counts and the local edge
         lists of all graphs concatenated in graph order, an (E, 2) int64
-        array that the collection takes over and rewrites in place."""
+        array that the collection takes over and rewrites in place. Sizes,
+        counts and endpoints must be integers (of an integer dtype)."""
         coll = cls.__new__(cls)
         coll._build(sizes, edge_counts, local_edges)
         coll._graphs = None
@@ -165,9 +176,9 @@ class GraphCollection:
     def _build(self, sizes, edge_counts, local: np.ndarray) -> None:
         if len(sizes) == 0:
             raise ValueError("collection must contain at least one graph")
-        self.node_offsets = _offsets(sizes)
-        self.edge_offsets = _offsets(edge_counts)
-        local = np.asarray(local, dtype=np.int64).reshape(-1, 2)
+        self.node_offsets = _offsets(_integers(sizes, "graph sizes"))
+        self.edge_offsets = _offsets(_integers(edge_counts, "edge counts"))
+        local = _integers(local, "edge endpoints").reshape(-1, 2)
         if len(edge_counts) != len(sizes) or self.edge_offsets[-1] != local.shape[0]:
             raise ValueError("need one edge count per graph, adding up to the number of edges")
         self.edges = _global_edges(self.node_offsets, self.edge_offsets, local)
@@ -581,6 +592,8 @@ def load_collection(path, *, latent: bool = True) -> tuple[GraphCollection, tupl
         ) from exc
     except OverflowError as exc:
         raise ValueError(f"{path}: integer out of range: {exc}") from exc
+    except ValueError as exc:  # a file with no record
+        raise ValueError(f"{path}: {exc}") from exc
     try:
         with open(str(path) + ".sidecar.json") as fh:
             text = fh.read()
@@ -588,7 +601,10 @@ def load_collection(path, *, latent: bool = True) -> tuple[GraphCollection, tupl
         return collection, None, {}
     # with latent=False every float token reads as True, which no provenance
     # check accepts: the scan builds no float object
-    sidecar = json.loads(text, parse_float=None if latent else bool)
+    try:
+        sidecar = json.loads(text, parse_float=None if latent else bool)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}.sidecar.json: not valid JSON ({exc})") from None
     if latent:
         values = _parse_latent(sidecar, collection, path)
     else:

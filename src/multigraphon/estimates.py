@@ -114,7 +114,10 @@ def _check_meta(meta, where: str, rows: int) -> None:
 
 
 def load_estimate(path) -> StepEstimate:
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        values = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:  # not a numeric CSV matrix
+        raise ValueError(f"{path}: {exc}") from None
     where = f"{path}.meta.json"
     try:
         with open(where) as fh:

@@ -132,9 +132,6 @@ class Graphon:
     def is_step(self) -> bool:
         return self.grid is not None
 
-    def eval(self, u, v):
-        return graphon_eval(self, u, v)
-
 
 def _cell_index(x: np.ndarray, k: int) -> np.ndarray:
     # half-open cells [s/k, (s+1)/k), last cell closed at 1

@@ -156,8 +156,8 @@ def joint_sort(degrees) -> JointOrdering:
     return JointOrdering(rank, offsets)
 
 
-def select_k(N: int, M: int, S: int, c: float = 2.0) -> int:
-    """Number of histogram blocks: min(S^(1/4), N / (c (M + ln N))), floored, >= 1.
+def select_k(N: int, M: int, S: int) -> int:
+    """Number of histogram blocks: min(S^(1/4), N / (2 (M + ln N))), floored, >= 1.
 
     The first branch balances squared bias against variance for smooth
     kernels; the second guards against blocks that receive no observed
@@ -165,10 +165,8 @@ def select_k(N: int, M: int, S: int, c: float = 2.0) -> int:
     """
     if N < 1 or M < 1 or S < 1:
         raise ValueError("N, M, S must all be >= 1")
-    if c <= 0:
-        raise ValueError("c must be positive")
     rate_k = math.isqrt(math.isqrt(S))
-    guard_k = math.floor(N / (c * (M + math.log(N))))
+    guard_k = math.floor(N / (2.0 * (M + math.log(N))))
     return max(1, min(rate_k, guard_k))
 
 

@@ -141,12 +141,10 @@ def _denoise_stack(h: np.ndarray, params: TvParams) -> list[TvResult]:
         np.subtract(p[1:n + 1], p[:n], out=dp[:n])
         np.abs(dp[:n], out=dp[:n])
         change = dp[:n].max(axis=(2, 3, 4))
-        np.abs(p[1:n + 1], out=dp[:n])
-        bound = tol * np.maximum(1.0, dp[:n, :, 0].max(axis=(2, 3)))
         # a step that would raise the energy is discarded and ends the grid's
         # run; so does a step that meets the tolerance, which is kept
         rose = energy > history[t:t + n, ids]
-        converged = ~rose & (change <= bound)
+        converged = ~rose & (change <= tol)
         done = rose | converged
         stopped = done.any(axis=0)
         for j in np.flatnonzero(stopped):

@@ -242,16 +242,6 @@ class TestPooledEstimators:
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             estimate_sas_pool(coll, lam=lam)
 
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_usvt_pool_bad_tau_rejected_before_any_graph(self, monkeypatch, tau):
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-graph work started")
-
-        monkeypatch.setattr("multigraphon.baselines.usvt_single", refuse)
-        coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
-        with pytest.raises(ValueError, match=f"threshold tau must be finite and > 0, got {tau!r}"):
-            estimate_usvt_pool(coll, tau=tau)
-
     @pytest.mark.parametrize("h", [0, 2.7, 3.0, True, "3"])
     def test_sas_pool_bad_bin_width_rejected_before_any_graph(self, monkeypatch, h):
         def refuse(*args, **kwargs):

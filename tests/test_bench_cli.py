@@ -125,8 +125,6 @@ class TestConfigValidation:
         ("k", 2.5, "k must be an integer >= 1, got 2.5"),
         ("k", True, "k must be an integer >= 1, got True"),
         ("k", "5", "k must be an integer >= 1, got '5'"),
-        ("pool_resolution", 0, "pool resolution must be an integer >= 1, got 0"),
-        ("pool_resolution", -3, "pool resolution must be an integer >= 1, got -3"),
         ("seed", -1, "seed must be an integer >= 0, got -1"),
     ])
     def test_bad_value_rejected_before_any_cell(self, field, value, message):
@@ -139,8 +137,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^sweep value must be an integer >= 1, got {bad}$"):
             ExperimentConfig(**self.base(sweep=sweep, sweep_values=values))
 
+    @pytest.mark.parametrize("method", ["sas-pool", "usvt-pool"])
+    def test_k_sweep_with_pooled_baseline_rejected(self, method):
+        # a pooled baseline takes no k: a k sweep used to score its collection
+        # once per k value, writing identical rows counted as extra trials
+        with pytest.raises(ValueError, match=f"^a k sweep does not apply to method '{method}', which takes no k$"):
+            ExperimentConfig(**self.base(methods=("jgs", method), sweep="k", sweep_values=(2, 8)))
+        ExperimentConfig(**self.base(methods=("jgs", method), sweep="n", sweep_values=(6, 8)))
+
     def test_good_values_accepted(self):
-        ExperimentConfig(**self.base(k=np.int64(3), seed=0, pool_resolution=1, resolution=1,
+        ExperimentConfig(**self.base(k=np.int64(3), seed=0, resolution=1,
                                      sweep="k", sweep_values=(1, 2)))
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
@@ -230,7 +236,7 @@ class TestBenchmark:
         # resolution below the pooled-estimate grid makes evaluation fail for
         # usvt-pool rows only; the run must still produce every row
         cfg = self.small_cfg(methods=("jgs", "usvt-pool"), resolution=20,
-                             pool_resolution=None, sizes=SizeSpec("fixed", n=24),
+                             sizes=SizeSpec("fixed", n=24),
                              graphon_ids=(1,), trials=1)
         records = run_benchmark(cfg)
         assert len(records) == 2
@@ -466,8 +472,8 @@ class TestCliExitStatus:
          "sweep value must be an integer >= 1, got 0"),
         (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "M", "--values", "2,0"], None,
          "sweep value must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--method", "usvt-pool", "--pool-res", "0"], None,
-         "pool resolution must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--method", "sas-pool", "--sweep", "k", "--values", "2,8"],
+         None, "a k sweep does not apply to method 'sas-pool', which takes no k"),
         (["--graphon", "1", "--sizes", "fixed:6", "--seed", "-1"], None,
          "seed must be an integer >= 0, got -1"),
         (["--graphon", "1", "--sizes", "fixed:6", "--M", "0"], None, "M must be an integer >= 1, got 0"),
@@ -479,7 +485,7 @@ class TestCliExitStatus:
         (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "10,10"], None,
          "sweep value 10 given more than once"),
     ], ids=["sizes", "jobs", "graphon", "values", "res", "k", "sweep-k", "sweep-n", "sweep-M",
-            "pool-res", "seed", "M", "values-without-sweep", "repeated-graphon", "repeated-method",
+            "sweep-k-pooled", "seed", "M", "values-without-sweep", "repeated-graphon", "repeated-method",
             "repeated-sweep-value"])
     def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      args, jobs, message):
@@ -500,10 +506,8 @@ class TestCliExitStatus:
 
     @pytest.mark.parametrize("method", ["jgs", "usvt-pool", "sas-pool"])
     @pytest.mark.parametrize("args, message", [
-        (["--pool-res", "0"], "pool resolution must be an integer >= 1, got 0"),
-        (["--pool-res", "-3"], "pool resolution must be an integer >= 1, got -3"),
         (["--k", "0"], "k must be an integer >= 1, got 0"),
-    ], ids=["pool-res-0", "pool-res-negative", "k-0"])
+    ], ids=["k-0"])
     def test_estimate_input_error_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                   method, args, message):
         # these used to fail after the per-graph work, or with a message about
@@ -522,6 +526,45 @@ class TestCliExitStatus:
         assert main(argv + args) == 2
         assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "benchmark"])
+    def test_pool_res_option_is_gone(self, tmp_path, capsys, command):
+        argv = {
+            "estimate": ["estimate", "--collection", str(tmp_path / "c.jsonl"), "--method", "sas-pool"],
+            "benchmark": ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:6",
+                          "--method", "sas-pool"],
+        }[command] + ["--pool-res", "20", "--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --pool-res 20" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["empty-collection", "truncated-sidecar-estimate",
+                                      "truncated-sidecar-mae", "ragged-estimate"])
+    def test_input_file_error_names_the_file(self, tmp_path, capsys, case):
+        # each used to print the bare message of the parser, without the file
+        coll_path, est, rows = tmp_path / "c.jsonl", tmp_path / "est.csv", tmp_path / "rows.csv"
+        coll, latent = sample_collection(Graphon.analytic(1), [3, 4], seed=0)
+        save_collection(coll, coll_path, latent=latent, graphon_id=1, seed=0)
+        sidecar = tmp_path / "c.jsonl.sidecar.json"
+        est.write_text("0.5\n")
+        estimate = ["estimate", "--collection", str(coll_path), "--method", "jgs", "--out", str(tmp_path / "e.csv")]
+        evaluate = ["evaluate", "--estimate", str(est), "--graphon", "1", "--out", str(rows)]
+        if case == "empty-collection":
+            coll_path.write_text("")
+            argv, message = estimate, f"{coll_path}: collection must contain at least one graph"
+        elif case.startswith("truncated-sidecar"):
+            sidecar.write_text('{"latent":\n')
+            argv = estimate if case.endswith("estimate") else evaluate + ["--mae", "--collection", str(coll_path)]
+            message = f"{sidecar}: not valid JSON (Expecting value: line 2 column 1 (char 11))"
+        else:
+            est.write_text("0.5,0.5\n0.5\n")
+            argv = evaluate
+            message = (f"{est}: the number of columns changed from 2 to 1 at row 2; "
+                       "use `usecols` to select a subset and avoid this error")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+        assert not rows.exists() and not (tmp_path / "e.csv").exists()
 
     def test_simulate_negative_seed_names_the_option(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"
@@ -575,13 +618,13 @@ class TestCliExitStatus:
 
     def test_failed_rows_give_exit_status_1(self, tmp_path, capsys, monkeypatch):
         # the failure of TestBenchmark.test_failures_recorded_not_raised: the
-        # evaluation resolution (100) lies below the pooled usvt-pool grid, here
-        # set by --pool-res instead of by the graph size
+        # evaluation resolution (20) lies below the pooled usvt-pool grid of
+        # the graph size (24)
         monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
         out = tmp_path / "rows.csv"
-        args = ["benchmark", "--graphon", "1", "--M", "3", "--sizes", "fixed:12", "--trials", "1",
-                "--seed", "5", "--method", "jgs", "--method", "usvt-pool", "--res", "100",
-                "--pool-res", "150", "--out", str(out)]
+        args = ["benchmark", "--graphon", "1", "--M", "3", "--sizes", "fixed:24", "--trials", "1",
+                "--seed", "5", "--method", "jgs", "--method", "usvt-pool", "--res", "20",
+                "--out", str(out)]
         assert main(args) == 1
         rows = read_rows(out)
         assert [r[5] for r in rows[1:]] == ["jgs", "usvt-pool"]
@@ -676,6 +719,22 @@ class TestEstimateMeta:
                                       '{"k":1,"N":0,"M":0,"S":0,"empty_blocks":0,"params":{}}'])
     def test_partial_meta_accepted(self, tmp_path, meta):
         assert self.evaluate(tmp_path, meta)[0] == 0
+
+    @pytest.mark.parametrize("method, meta", [
+        ("sas-pool", '{"k":7,"N":41,"M":5,"S":595,"method":"sas-pool","params":{"h":3,"lambda":0.05,'
+                     '"resolution":7,"skipped_singletons":2},"seed":null,"elapsed_seconds":0,"empty_blocks":0}\n'),
+        ("usvt-pool", '{"k":20,"N":41,"M":5,"S":595,"method":"usvt-pool","params":{"tau":null,"use_nmax":false,'
+                      '"resolution":20,"skipped_singletons":2},"seed":null,"elapsed_seconds":0,"empty_blocks":0}\n'),
+    ])
+    def test_pooled_meta_bytes_pinned(self, tmp_path, method, meta):
+        # recorded before the pooled baselines lost their unused options; the
+        # params keep their literals, so the metas stay byte for byte the same
+        coll_path, est = tmp_path / "c.jsonl", tmp_path / "est.csv"
+        coll, _ = sample_collection(Graphon.analytic(1), [1, 7, 12, 1, 20], seed=2)
+        save_collection(coll, coll_path)
+        assert main(["estimate", "--collection", str(coll_path), "--method", method, "--out", str(est)]) == 0
+        text = (tmp_path / "est.csv.meta.json").read_text()
+        assert re.sub(r'"elapsed_seconds":[^,]*', '"elapsed_seconds":0', text) == meta
 
     @pytest.mark.parametrize("method", ["jgs", "jgs-smooth", "sas-pool", "usvt-pool"])
     def test_every_saved_meta_loads(self, tmp_path, method):

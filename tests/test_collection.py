@@ -39,6 +39,34 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(3, np.array([[0, 3]]))
 
+    # each was accepted and truncated: n == 2.5 with sizes (2,), the edge
+    # [[0, 1]] from [[0.5, 1.9]], True as one node, sizes (3,) from 3.7
+    @pytest.mark.parametrize("n, edges, message", [
+        (2.5, [[0, 1]], "graph size n must be an integer >= 1, got 2.5"),
+        (True, NO_EDGES, "graph size n must be an integer >= 1, got True"),
+        (3, np.array([[0.5, 1.9]]), "edge endpoints must be integers, got float64 values"),
+        (3, np.array([[False, True]]), "edge endpoints must be integers, got bool values"),
+    ], ids=["float-n", "bool-n", "float-edges", "bool-edges"])
+    def test_non_integer_graph_rejected(self, n, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(n, edges)
+
+    @pytest.mark.parametrize("sizes, counts, edges, message", [
+        ([3.7], [1], np.array([[0, 1]]), "graph sizes must be integers, got float64 values"),
+        ([3], [1.0], np.array([[0, 1]]), "edge counts must be integers, got float64 values"),
+        ([3], [1], np.array([[0.0, 1.0]]), "edge endpoints must be integers, got float64 values"),
+    ], ids=["sizes", "counts", "edges"])
+    def test_non_integer_edge_lists_rejected(self, sizes, counts, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GraphCollection.from_edge_lists(sizes, counts, edges)
+
+    def test_integer_inputs_of_any_width_accepted(self):
+        g = Graph(np.int64(3), np.array([[0, 1]], dtype=np.int32))
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1]]
+        assert Graph(3, np.empty((0, 2))).edge_count == Graph(3, []).edge_count == 0
+        coll = GraphCollection.from_edge_lists(np.array([3], dtype=np.uint8), np.array([0]), np.empty((0, 2)))
+        assert coll.sizes == (3,) and coll.edge_count == 0
+
     def test_counts(self):
         coll = GraphCollection((Graph(2, np.array([[0, 1]])), Graph(3, NO_EDGES)))
         assert coll.num_graphs == 2

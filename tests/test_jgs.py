@@ -177,8 +177,6 @@ class TestSelectK:
     def test_validation(self):
         with pytest.raises(ValueError):
             select_k(0, 1, 1)
-        with pytest.raises(ValueError):
-            select_k(1, 1, 1, c=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=20))
