@@ -24,7 +24,7 @@ from .collection import (
     save_collection,
 )
 from .estimates import StepEstimate, load_estimate, resample_grid, save_estimate
-from .evaluation import EvalReport, eta_bound, mae_latent, mise, rank_discrepancy
+from .evaluation import eta_bound, mae_latent, mise, rank_discrepancy
 from .graphons import (
     ANALYTIC_IDS,
     Graphon,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANALYTIC_IDS",
-    "EvalReport",
     "ExperimentConfig",
     "Graph",
     "GraphCollection",

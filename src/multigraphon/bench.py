@@ -27,6 +27,7 @@ from .jgs import estimate_jgs, joint_sort, normalized_degrees
 from .tv import TvParams, _require_int
 
 __all__ = [
+    "JGS_METHODS",
     "METHODS",
     "SizeSpec",
     "ExperimentConfig",
@@ -42,7 +43,9 @@ __all__ = [
     "RESULT_COLUMNS",
 ]
 
-METHODS = ("jgs", "jgs-smooth", "sas-pool", "usvt-pool")
+# the methods that take k and score the joint ordering's latent MAE
+JGS_METHODS = ("jgs", "jgs-smooth")
+METHODS = JGS_METHODS + ("sas-pool", "usvt-pool")
 JOBS_ENV_VAR = "MULTIGRAPHON_JOBS"
 
 RESULT_COLUMNS = (
@@ -133,7 +136,7 @@ class ExperimentConfig:
             if not self.sweep_values:
                 raise ValueError("sweep requires at least one value")
             # a pooled baseline ignores k: a k sweep would score its collection once per value
-            pooled = [m for m in self.methods if m in ("sas-pool", "usvt-pool")]
+            pooled = [m for m in self.methods if m not in JGS_METHODS]
             if self.sweep == "k" and pooled:
                 raise ValueError(f"a k sweep does not apply to method {pooled[0]!r}, which takes no k")
         elif self.sweep_values:
@@ -148,10 +151,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    graphon_id: int
+    graphon_id: int | None
     num_graphs: int
     size_label: str
-    seed: int
+    seed: int | None
     k: int | None
     method: str
     mise: float | None
@@ -165,8 +168,8 @@ class ResultRecord:
             return "" if x is None else (repr(x) if isinstance(x, float) else str(x))
 
         return [
-            str(self.graphon_id), str(self.num_graphs), self.size_label,
-            str(self.seed), fmt(self.k), self.method,
+            fmt(self.graphon_id), str(self.num_graphs), self.size_label,
+            fmt(self.seed), fmt(self.k), self.method,
             fmt(self.mise), fmt(self.mae), fmt(self.empty_frac), fmt(self.seconds),
         ]
 
@@ -240,18 +243,16 @@ def _run_cell(cfg: ExperimentConfig, graphon_id: int, sweep_value: int | None, t
     for method in cfg.methods:
         try:
             est = estimate(method, coll, k, cfg.lam)
-            is_jgs = method in ("jgs", "jgs-smooth")
+            is_jgs = method in JGS_METHODS
             if is_jgs and ordering is None:
                 ordering = joint_sort(normalized_degrees(coll))
-            report = evaluate_estimate(est, spec, resolution=cfg.resolution,
+            scores = evaluate_estimate(est, spec, resolution=cfg.resolution,
                                        ordering=ordering if is_jgs else None, latent=latent)
         except Exception as exc:  # record the failure, keep the run going
             records.append(row(method=method, k=None, mise=None, mae=None, empty_frac=None,
                                seconds=None, error=f"{type(exc).__name__}: {exc}"))
         else:
-            records.append(row(method=method, k=est.params.get("k"), mise=report.mise,
-                               mae=report.mae_latent, empty_frac=report.empty_block_fraction,
-                               seconds=report.elapsed_seconds))
+            records.append(row(method=method, **scores))
     return records
 
 

@@ -14,12 +14,10 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import bench
 from .bench import ExperimentConfig, ResultRecord, SizeSpec
 from .collection import load_collection, save_collection
-from .estimates import load_estimate, save_estimate
+from .estimates import load_estimate, read_grid, save_estimate
 from .evaluation import evaluate_estimate
 from .graphons import ANALYTIC_IDS, Graphon
 from .jgs import joint_sort, normalized_degrees
@@ -66,33 +64,29 @@ def cmd_smooth(args) -> int:
 
 def cmd_evaluate(args) -> int:
     est = load_estimate(args.estimate)
-    if args.graphon is not None:
-        truth = Graphon.analytic(args.graphon)
-        gid = args.graphon
-    else:
-        truth = Graphon.step(np.loadtxt(args.truth, delimiter=",", ndmin=2))
-        gid = -1
+    truth = Graphon.analytic(args.graphon) if args.graphon is not None else read_grid(args.truth, Graphon.step)
     ordering = latent = None
     if args.mae:
+        if est.method not in bench.JGS_METHODS:
+            raise ValueError(f"{args.estimate}: --mae scores the joint ordering of a jgs method "
+                             f"({', '.join(bench.JGS_METHODS)}), not of method {est.method!r}")
         if args.collection is None:
             raise ValueError("--mae requires --collection")
-        coll, latent, _ = load_collection(args.collection)
+        coll, latent, sidecar = load_collection(args.collection)
         if latent is None:
             raise ValueError(f"--mae requested but no latent sidecar found for {args.collection}")
+        # a meta without N or M reads as 0, which describes no collection
+        recorded = {"N": est.n_total or None, "M": est.n_graphs or None, "seed": est.seed}
+        actual = {"N": coll.total_nodes, "M": coll.num_graphs, "seed": sidecar.get("seed")}
+        differ = [name for name, value in recorded.items() if value is not None and value != actual[name]]
+        if differ:
+            raise ValueError(f"{args.estimate} is not an estimate of {args.collection}: its meta records "
+                             + ", ".join(f"{name}={recorded[name]}" for name in differ) + ", the collection has "
+                             + ", ".join(f"{name}={actual[name]}" for name in differ))
         ordering = joint_sort(normalized_degrees(coll))
-    report = evaluate_estimate(est, truth, resolution=args.res, ordering=ordering, latent=latent)
-    rec = ResultRecord(
-        graphon_id=gid,
-        num_graphs=est.n_graphs,
-        size_label="",
-        seed=est.seed if est.seed is not None else 0,
-        k=est.params.get("k", est.k),
-        method=est.method,
-        mise=report.mise,
-        mae=report.mae_latent,
-        empty_frac=report.empty_block_fraction,
-        seconds=report.elapsed_seconds,
-    )
+    scores = evaluate_estimate(est, truth, resolution=args.res, ordering=ordering, latent=latent)
+    rec = ResultRecord(graphon_id=args.graphon, num_graphs=est.n_graphs, size_label="", seed=est.seed,
+                       method=est.method, **scores)
     exists = os.path.exists(args.out)
     with open(args.out, "a", newline="") as fh:
         writer = csv.writer(fh)

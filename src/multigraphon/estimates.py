@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphons import check_grid
 from .tv import _require_int
 
-__all__ = ["StepEstimate", "resample_grid", "save_estimate", "load_estimate"]
+__all__ = ["StepEstimate", "resample_grid", "save_estimate", "load_estimate", "read_grid"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,16 +33,7 @@ class StepEstimate:
     seed: int | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
-            raise ValueError("estimate values must be a square matrix")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("estimate values must be finite")
-        if not np.array_equal(v, v.T):
-            raise ValueError("estimate values must be symmetric")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("estimate values must lie in [0, 1]")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", check_grid(self.values, "estimate values", "estimate values"))
 
     @property
     def k(self) -> int:
@@ -113,11 +105,18 @@ def _check_meta(meta, where: str, rows: int) -> None:
         raise ValueError(f"{where}: elapsed_seconds must be a finite number, got {elapsed!r}")
 
 
-def load_estimate(path) -> StepEstimate:
+def read_grid(path, build=np.asarray):
+    """``build`` applied to the CSV matrix in ``path``; a ValueError from
+    parsing the file (not a numeric CSV matrix) or from ``build`` (a grid
+    check) names the file."""
     try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:  # not a numeric CSV matrix
+        return build(np.loadtxt(path, delimiter=",", ndmin=2))
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def load_estimate(path) -> StepEstimate:
+    values = read_grid(path)
     where = f"{path}.meta.json"
     try:
         with open(where) as fh:
@@ -127,14 +126,17 @@ def load_estimate(path) -> StepEstimate:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: not valid JSON ({exc})") from None
     _check_meta(meta, where, values.shape[0])
-    return StepEstimate(
-        values=values,
-        method=meta.get("method", "unknown"),
-        n_total=meta.get("N", 0),
-        n_graphs=meta.get("M", 0),
-        dyad_count=meta.get("S", 0),
-        params=meta.get("params", {}),
-        elapsed_seconds=meta.get("elapsed_seconds", 0.0),
-        empty_blocks=meta.get("empty_blocks", 0),
-        seed=meta.get("seed"),
-    )
+    try:
+        return StepEstimate(
+            values=values,
+            method=meta.get("method", "unknown"),
+            n_total=meta.get("N", 0),
+            n_graphs=meta.get("M", 0),
+            dyad_count=meta.get("S", 0),
+            params=meta.get("params", {}),
+            elapsed_seconds=meta.get("elapsed_seconds", 0.0),
+            empty_blocks=meta.get("empty_blocks", 0),
+            seed=meta.get("seed"),
+        )
+    except ValueError as exc:  # the values' grid check
+        raise ValueError(f"{path}: {exc}") from None

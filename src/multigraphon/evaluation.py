@@ -8,7 +8,6 @@ canonical representative of the truth on a common fine grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .graphons import Graphon, canonical_rearrangement, degree_function
 from .jgs import JointOrdering
 from .tv import _require_int
 
-__all__ = ["mise", "mae_latent", "eta_bound", "rank_discrepancy", "EvalReport", "evaluate_estimate"]
+__all__ = ["mise", "mae_latent", "eta_bound", "rank_discrepancy", "evaluate_estimate"]
 
 
 def mise(estimate, truth: Graphon, resolution: int = 1000) -> float:
@@ -109,31 +108,21 @@ def rank_discrepancy(
     return float(np.mean(np.abs(ordering.rank / big_n - oracle / big_n)))
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """One evaluated trial: its accuracy metrics and the estimator's time."""
-
-    mise: float
-    mae_latent: float | None
-    empty_block_fraction: float
-    elapsed_seconds: float
-
-
 def evaluate_estimate(
     estimate: StepEstimate,
     truth: Graphon,
     resolution: int = 1000,
     ordering: JointOrdering | None = None,
     latent=None,
-) -> EvalReport:
-    """Score one step estimate; latent MAE is included when both the joint
-    ordering and the true positions are available."""
-    mae = None
-    if ordering is not None and latent is not None:
-        mae = mae_latent(ordering, latent)
-    return EvalReport(
-        mise=mise(estimate, truth, resolution=resolution),
-        mae_latent=mae,
-        empty_block_fraction=estimate.empty_blocks / estimate.k**2,
-        elapsed_seconds=estimate.elapsed_seconds,
-    )
+) -> dict:
+    """The score columns of one result row, keyed by ``ResultRecord``'s
+    field names: the jgs ``k`` (None when the params record none), MISE,
+    latent MAE (when both the joint ordering and the true positions are
+    given, else None), empty-block fraction and the estimator's time."""
+    return {
+        "k": estimate.params.get("k"),
+        "mise": mise(estimate, truth, resolution=resolution),
+        "mae": None if ordering is None or latent is None else mae_latent(ordering, latent),
+        "empty_frac": estimate.empty_blocks / estimate.k**2,
+        "seconds": estimate.elapsed_seconds,
+    }

@@ -90,6 +90,22 @@ _FORMULAS = {
 ANALYTIC_IDS = tuple(sorted(_FORMULAS))
 
 
+def check_grid(values, name: str, entries: str) -> np.ndarray:
+    """``values`` as a float array, or ValueError unless it is a finite,
+    symmetric square matrix with entries in [0, 1]; the messages begin with
+    ``name`` (``entries`` for the range)."""
+    g = np.asarray(values, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
+        raise ValueError(f"{name} must be a square matrix")
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"{name} must be finite")
+    if not np.array_equal(g, g.T):
+        raise ValueError(f"{name} must be symmetric")
+    if np.any(g < 0.0) or np.any(g > 1.0):
+        raise ValueError(f"{entries} must lie in [0, 1]")
+    return g
+
+
 @dataclass(frozen=True, eq=False)
 class Graphon:
     """A symmetric edge-probability kernel on the unit square.
@@ -107,14 +123,7 @@ class Graphon:
         if self.graphon_id is not None and self.graphon_id not in _FORMULAS:
             raise ValueError(f"unknown analytic graphon id {self.graphon_id}")
         if self.grid is not None:
-            g = np.asarray(self.grid, dtype=float)
-            if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
-                raise ValueError("step grid must be a square matrix")
-            if np.any(g < 0.0) or np.any(g > 1.0):
-                raise ValueError("step grid entries must lie in [0, 1]")
-            if not np.array_equal(g, g.T):
-                raise ValueError("step grid must be symmetric")
-            object.__setattr__(self, "grid", g)
+            object.__setattr__(self, "grid", check_grid(self.grid, "step grid", "step grid entries"))
 
     @classmethod
     def analytic(cls, graphon_id: int) -> "Graphon":

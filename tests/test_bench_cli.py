@@ -382,16 +382,19 @@ class TestCli:
               "--out", str(out)])
         assert float(read_rows(out)[1][6]) <= 1e-12
 
-    def test_evaluate_mae_needs_sidecar(self, tmp_path):
+    def test_evaluate_mae_needs_sidecar(self, tmp_path, capsys):
         from multigraphon.collection import Graph, GraphCollection
 
         coll_path = tmp_path / "nos.jsonl"
         save_collection(GraphCollection((Graph(2, np.array([[0, 1]])),)), coll_path)
         est = tmp_path / "est.csv"
         est.write_text("0.5\n")
+        (tmp_path / "est.csv.meta.json").write_text('{"method":"jgs"}')  # --mae scores jgs estimates only
         out = tmp_path / "rows.csv"
         assert main(["evaluate", "--estimate", str(est), "--graphon", "1",
                      "--collection", str(coll_path), "--mae", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"multigraphon: error: --mae requested but no latent sidecar found for {coll_path}\n")
 
     def test_benchmark_roundtrip_and_determinism(self, tmp_path):
         args = ["benchmark", "--graphon", "1", "--M", "3", "--sizes", "uniform:5:9",
@@ -548,6 +551,7 @@ class TestCliExitStatus:
         save_collection(coll, coll_path, latent=latent, graphon_id=1, seed=0)
         sidecar = tmp_path / "c.jsonl.sidecar.json"
         est.write_text("0.5\n")
+        (tmp_path / "est.csv.meta.json").write_text('{"method":"jgs"}')  # --mae scores jgs estimates only
         estimate = ["estimate", "--collection", str(coll_path), "--method", "jgs", "--out", str(tmp_path / "e.csv")]
         evaluate = ["evaluate", "--estimate", str(est), "--graphon", "1", "--out", str(rows)]
         if case == "empty-collection":
@@ -566,6 +570,30 @@ class TestCliExitStatus:
         assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
         assert not rows.exists() and not (tmp_path / "e.csv").exists()
 
+    @pytest.mark.parametrize("case", ["ragged-truth", "asymmetric-truth", "asymmetric-estimate",
+                                      "asymmetric-estimate-smooth"])
+    def test_grid_file_error_names_the_file(self, tmp_path, capsys, case):
+        # each used to print the bare message of the parser or of the grid check
+        est, truth, out = tmp_path / "est.csv", tmp_path / "truth.csv", tmp_path / "out.csv"
+        est.write_text("0.5\n")
+        evaluate = ["evaluate", "--estimate", str(est), "--truth", str(truth), "--res", "20", "--out", str(out)]
+        if case == "ragged-truth":
+            truth.write_text("0.5,0.5\n0.5\n")
+            argv, message = evaluate, (f"{truth}: the number of columns changed from 2 to 1 at row 2; "
+                                       "use `usecols` to select a subset and avoid this error")
+        elif case == "asymmetric-truth":
+            truth.write_text("0.1,0.2\n0.3,0.4\n")
+            argv, message = evaluate, f"{truth}: step grid must be symmetric"
+        else:
+            truth.write_text("0.5\n")
+            est.write_text("0.1,0.2\n0.3,0.4\n")
+            smooth = ["smooth", "--estimate", str(est), "--out", str(out)]
+            argv = smooth if case.endswith("smooth") else evaluate
+            message = f"{est}: estimate values must be symmetric"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+        assert not out.exists()
+
     def test_simulate_negative_seed_names_the_option(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"
         argv = ["simulate", "--graphon", "1", "--M", "2", "--sizes", "fixed:5", "--seed", "-1",
@@ -581,6 +609,7 @@ class TestCliExitStatus:
         save_collection(coll, coll_path)
         est = tmp_path / "est.csv"
         est.write_text("0.5\n")
+        (tmp_path / "est.csv.meta.json").write_text('{"method":"jgs"}')  # --mae scores jgs estimates only
         argv = ["evaluate", "--estimate", str(est), "--graphon", "1", "--mae",
                 "--out", str(tmp_path / "rows.csv")]
         if case == "no-collection":
@@ -752,3 +781,77 @@ class TestEstimateMeta:
         assert (loaded.method, loaded.params, loaded.seed) == (method, meta["params"], meta["seed"])
         assert main(["evaluate", "--estimate", str(est), "--graphon", "1",
                      "--out", str(tmp_path / "rows.csv")]) == 0
+
+
+class TestEvaluateRows:
+    def test_evaluate_row_equals_benchmark_row(self, tmp_path, monkeypatch):
+        # singleton graphs, so sas-pool and usvt-pool skip some; evaluate used
+        # to write the pooled rows a k and the jgs ordering's MAE
+        monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
+        seed, methods = "6", ["jgs", "jgs-smooth", "sas-pool", "usvt-pool"]
+        coll_path, evaluated, benched = tmp_path / "c.jsonl", tmp_path / "e.csv", tmp_path / "b.csv"
+        assert main(["simulate", "--graphon", "10", "--M", "12", "--sizes", "uniform:1:14", "--seed", seed,
+                     "--out", str(coll_path)]) == 0
+        assert 1 in load_collection(coll_path)[0].sizes
+        for method in methods:
+            est = tmp_path / f"{method}.csv"
+            assert main(["estimate", "--collection", str(coll_path), "--method", method, "--out", str(est)]) == 0
+            mae = ["--mae", "--collection", str(coll_path)] if method.startswith("jgs") else []
+            assert main(["evaluate", "--estimate", str(est), "--graphon", "10", "--res", "60",
+                         "--out", str(evaluated)] + mae) == 0
+        assert main(["benchmark", "--graphon", "10", "--M", "12", "--sizes", "uniform:1:14", "--trials", "1",
+                     "--seed", seed, "--res", "60", "--out", str(benched)]
+                    + [arg for method in methods for arg in ("--method", method)]) == 0
+
+        def masked(rows):
+            return [[c for i, c in enumerate(r) if rows[0][i] not in ("size_spec", "seconds")] for r in rows]
+
+        assert masked(read_rows(evaluated)) == masked(read_rows(benched))
+        pooled = read_rows(evaluated)[3:]
+        assert [(r[4], r[5], r[7]) for r in pooled] == [("", "sas-pool", ""), ("", "usvt-pool", "")]
+
+    def test_mae_of_a_pooled_estimate_refused(self, tmp_path, capsys):
+        coll_path, est, rows = tmp_path / "c.jsonl", tmp_path / "est.csv", tmp_path / "rows.csv"
+        assert main(["simulate", "--graphon", "1", "--M", "3", "--sizes", "fixed:6", "--out", str(coll_path)]) == 0
+        assert main(["estimate", "--collection", str(coll_path), "--method", "sas-pool", "--out", str(est)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--estimate", str(est), "--graphon", "1", "--mae", "--collection", str(coll_path),
+                     "--out", str(rows)]) == 2
+        assert capsys.readouterr().err == (
+            f"multigraphon: error: {est}: --mae scores the joint ordering of a jgs method (jgs, jgs-smooth), "
+            "not of method 'sas-pool'\n")
+        assert not rows.exists()
+
+    @pytest.mark.parametrize("other, differ", [
+        (["--M", "7", "--seed", "5"], "its meta records N=240, M=20, the collection has N=84, M=7"),
+        (["--M", "20", "--seed", "6"], "its meta records seed={}, the collection has seed={}"),
+    ], ids=["other-size", "other-seed"])
+    def test_mae_of_another_collection_refused(self, tmp_path, capsys, other, differ):
+        # the other-size case exited 0, writing M=20 next to the 7-graph file's MAE
+        ours, theirs, est, rows = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "est.csv", "rows.csv"))
+        simulate = ["simulate", "--graphon", "1", "--sizes", "fixed:12"]
+        assert main(simulate + ["--M", "20", "--seed", "5", "--out", str(ours)]) == 0
+        assert main(simulate + other + ["--out", str(theirs)]) == 0
+        assert main(["estimate", "--collection", str(ours), "--method", "jgs", "--out", str(est)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--estimate", str(est), "--graphon", "1", "--mae", "--collection", str(theirs),
+                     "--out", str(rows)]) == 2
+        seeds = [load_collection(path, latent=False)[2]["seed"] for path in (ours, theirs)]
+        assert capsys.readouterr().err == (
+            f"multigraphon: error: {est} is not an estimate of {theirs}: {differ.format(*seeds)}\n")
+        assert not rows.exists()
+
+    def test_unknown_values_left_empty(self, tmp_path):
+        # a collection saved without a sidecar gave seed 0, a --truth run graphon -1
+        coll_path, est, truth, rows = (tmp_path / name for name in ("c.jsonl", "est.csv", "t.csv", "rows.csv"))
+        coll, _ = sample_collection(Graphon.analytic(1), [5, 6, 7], seed=0)
+        save_collection(coll, coll_path)
+        assert main(["estimate", "--collection", str(coll_path), "--method", "jgs", "--out", str(est)]) == 0
+        truth.write_text("0.5\n")
+        assert main(["evaluate", "--estimate", str(est), "--truth", str(truth), "--res", "20",
+                     "--out", str(rows)]) == 0
+        assert main(["evaluate", "--estimate", str(est), "--graphon", "3", "--res", "20",
+                     "--out", str(rows)]) == 0
+        (_, first, second) = read_rows(rows)
+        assert first[:6] == ["", "3", "", "", first[4], "jgs"] and first[4] != ""
+        assert second[:6] == ["3", "3", "", "", first[4], "jgs"]

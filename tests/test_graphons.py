@@ -58,6 +58,13 @@ def test_step_validation():
         Graphon(graphon_id=1, grid=np.zeros((1, 1)))  # both kinds at once
 
 
+@pytest.mark.parametrize("grid", [[[np.nan]], [[0.5, np.nan], [np.nan, 0.5]], [[np.inf]]])
+def test_non_finite_step_grid_rejected_as_such(grid):
+    # a nan grid used to be refused as asymmetric, an inf one as out of range
+    with pytest.raises(ValueError, match=r"^step grid must be finite$"):
+        Graphon.step(grid)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     gid=st.sampled_from(ANALYTIC_IDS),
