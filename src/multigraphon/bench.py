@@ -11,8 +11,6 @@ reproduce identical result rows byte for byte (timing column aside).
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -35,7 +33,6 @@ __all__ = [
     "collection_seed",
     "estimate",
     "sample_cell",
-    "jobs_setting",
     "run_benchmark",
     "write_results_csv",
     "summarize",
@@ -46,7 +43,6 @@ __all__ = [
 # the methods that take k and score the joint ordering's latent MAE
 JGS_METHODS = ("jgs", "jgs-smooth")
 METHODS = JGS_METHODS + ("sas-pool", "usvt-pool")
-JOBS_ENV_VAR = "MULTIGRAPHON_JOBS"
 
 RESULT_COLUMNS = (
     "graphon_id", "M", "size_spec", "seed", "k", "method",
@@ -152,7 +148,7 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ResultRecord:
     graphon_id: int | None
-    num_graphs: int
+    num_graphs: int | None
     size_label: str
     seed: int | None
     k: int | None
@@ -168,7 +164,7 @@ class ResultRecord:
             return "" if x is None else (repr(x) if isinstance(x, float) else str(x))
 
         return [
-            fmt(self.graphon_id), str(self.num_graphs), self.size_label,
+            fmt(self.graphon_id), fmt(self.num_graphs), self.size_label,
             fmt(self.seed), fmt(self.k), self.method,
             fmt(self.mise), fmt(self.mae), fmt(self.empty_frac), fmt(self.seconds),
         ]
@@ -264,42 +260,12 @@ def _cells(cfg: ExperimentConfig):
                 yield gid, sv, trial
 
 
-def jobs_setting() -> int:
-    """The MULTIGRAPHON_JOBS worker count: a positive integer, and 1 when
-    unset or empty; anything else raises ValueError."""
-    text = os.environ.get(JOBS_ENV_VAR, "").strip()
-    try:
-        jobs = int(text) if text else 1
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {text!r}")
-    return jobs
-
-
-def _worker_count(cells: int) -> int:
-    """Worker processes for ``cells`` cells: the jobs setting capped at the
-    number of cells."""
-    return min(jobs_setting(), cells)
-
-
 def run_benchmark(cfg: ExperimentConfig) -> list[ResultRecord]:
-    """Run every (graphon x sweep value x trial x method) cell.
-
-    Rows come back in deterministic (graphon, sweep value, trial, method)
-    order regardless of how many worker processes execute them; set the
-    MULTIGRAPHON_JOBS environment variable above 1 to parallelize trials
-    (at most one worker per cell); a value that is not a positive integer
-    raises ValueError before any worker starts.
+    """Run every (graphon x sweep value x trial x method) cell, serially in
+    one process, returning the rows in (graphon, sweep value, trial,
+    method) order.
     """
-    cells = list(_cells(cfg))
-    jobs = _worker_count(len(cells))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_cell, *zip(*[(cfg, g, s, t) for g, s, t in cells])))
-    else:
-        chunks = [_run_cell(cfg, g, s, t) for g, s, t in cells]
-    return [rec for chunk in chunks for rec in chunk]
+    return [rec for g, s, t in _cells(cfg) for rec in _run_cell(cfg, g, s, t)]
 
 
 def write_results_csv(records, path) -> None:

@@ -85,7 +85,7 @@ def cmd_evaluate(args) -> int:
                              + ", ".join(f"{name}={actual[name]}" for name in differ))
         ordering = joint_sort(normalized_degrees(coll))
     scores = evaluate_estimate(est, truth, resolution=args.res, ordering=ordering, latent=latent)
-    rec = ResultRecord(graphon_id=args.graphon, num_graphs=est.n_graphs, size_label="", seed=est.seed,
+    rec = ResultRecord(graphon_id=args.graphon, num_graphs=est.n_graphs or None, size_label="", seed=est.seed,
                        method=est.method, **scores)
     exists = os.path.exists(args.out)
     with open(args.out, "a", newline="") as fh:
@@ -112,7 +112,6 @@ def cmd_benchmark(args) -> int:
         sweep=args.sweep,
         sweep_values=_int_list(args.values, "--values") if args.values else (),
     )
-    bench.jobs_setting()
     records = bench.run_benchmark(cfg)
     bench.write_results_csv(records, args.out)
     failures = [r for r in records if r.error]

@@ -263,7 +263,7 @@ def estimate_jgs(
         "singleton_graphs": len(report.singleton_graphs),
         "tie_break": "index",
     }
-    if smoothing is not None and smoothing.lam > 0:
+    if smoothing is not None:
         values = tv_smooth(values, smoothing)
         method = "jgs-smooth"
         params["lambda"] = smoothing.lam

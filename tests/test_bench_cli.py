@@ -1,15 +1,19 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multigraphon
 from multigraphon.bench import (
     ExperimentConfig,
     SizeSpec,
-    _worker_count,
     collection_seed,
     format_summary,
     run_benchmark,
@@ -339,6 +343,9 @@ class TestCli:
         main(["estimate", "--collection", str(coll_path), "--method", "jgs-smooth",
               "--lambda", "0", "--k", "2", "--out", str(b)])
         assert a.read_text() == b.read_text()
+        # the meta names the method as benchmark and smooth do; it said "jgs", without a lambda
+        meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
+        assert (meta["method"], meta["params"]["lambda"]) == ("jgs-smooth", 0.0)
 
     def test_usvt_pool_on_empty_graphs(self, tmp_path):
         from multigraphon.collection import Graph, GraphCollection
@@ -415,32 +422,13 @@ class TestCli:
         assert len(rows) == 1 + 2
         assert [r[4] for r in rows[1:]] == ["1", "2"]
 
-    def test_parallel_rows_match_serial(self, tmp_path, monkeypatch):
-        args = ["benchmark", "--graphon", "1,4", "--M", "2", "--sizes", "fixed:8",
-                "--trials", "2", "--seed", "9", "--method", "jgs", "--res", "50", "--out"]
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
-        main(args + [str(serial)])
-        monkeypatch.setenv("MULTIGRAPHON_JOBS", "2")
-        main(args + [str(parallel)])
-        assert strip_timing(read_rows(serial)) == strip_timing(read_rows(parallel))
-
-    @pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
-    def test_bad_jobs_setting_rejected(self, monkeypatch, value):
-        # rejected before a worker pool starts
-        monkeypatch.setenv("MULTIGRAPHON_JOBS", value)
-        cfg = ExperimentConfig(graphon_ids=(1,), num_graphs=2, sizes=SizeSpec("fixed", n=4),
-                               trials=2, seed=0, resolution=20)
-        with pytest.raises(ValueError, match=f"MULTIGRAPHON_JOBS.*{re.escape(repr(value))}"):
-            run_benchmark(cfg)
-
-    @pytest.mark.parametrize("value, workers", [(None, 1), ("", 1), (" 3 ", 3), ("64", 5)])
-    def test_jobs_setting_capped_at_cells(self, monkeypatch, value, workers):
-        if value is None:
-            monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("MULTIGRAPHON_JOBS", value)
-        assert _worker_count(5) == workers
+    def test_import_loads_no_process_pool(self):
+        # benchmark runs its cells in one process; the package loaded a worker pool's modules
+        code = ("import sys, multigraphon, multigraphon.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(multigraphon.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -458,48 +446,42 @@ class TestCli:
 
 
 class TestCliExitStatus:
-    @pytest.mark.parametrize("args, jobs, message", [
-        (["--graphon", "1", "--sizes", "bogus"], None,
+    @pytest.mark.parametrize("args, message", [
+        (["--graphon", "1", "--sizes", "bogus"],
          "bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
-        (["--graphon", "1", "--sizes", "fixed:6"], "x",
-         "MULTIGRAPHON_JOBS must be a positive integer, got 'x'"),
-        (["--graphon", "1,99", "--sizes", "fixed:6"], None, "unknown analytic graphon id 99"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "x,y"], None,
+        (["--graphon", "1,99", "--sizes", "fixed:6"], "unknown analytic graphon id 99"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "x,y"],
          "--values expects comma-separated integers, got 'x,y'"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--res", "0"], None,
+        (["--graphon", "1", "--sizes", "fixed:6", "--res", "0"],
          "resolution must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--k", "0"], None, "k must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "k", "--values", "0,2"], None,
+        (["--graphon", "1", "--sizes", "fixed:6", "--k", "0"], "k must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "k", "--values", "0,2"],
          "sweep value must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "6,0"], None,
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "6,0"],
          "sweep value must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "M", "--values", "2,0"], None,
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "M", "--values", "2,0"],
          "sweep value must be an integer >= 1, got 0"),
         (["--graphon", "1", "--sizes", "fixed:6", "--method", "sas-pool", "--sweep", "k", "--values", "2,8"],
-         None, "a k sweep does not apply to method 'sas-pool', which takes no k"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--seed", "-1"], None,
+         "a k sweep does not apply to method 'sas-pool', which takes no k"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--seed", "-1"],
          "seed must be an integer >= 0, got -1"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--M", "0"], None, "M must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--values", "10,20"], None,
+        (["--graphon", "1", "--sizes", "fixed:6", "--M", "0"], "M must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--values", "10,20"],
          "sweep values [10, 20] given without a sweep"),
-        (["--graphon", "1,1", "--sizes", "fixed:6"], None, "graphon id 1 given more than once"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--method", "jgs"], None,
+        (["--graphon", "1,1", "--sizes", "fixed:6"], "graphon id 1 given more than once"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--method", "jgs"],
          "method 'jgs' given more than once"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "10,10"], None,
+        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "10,10"],
          "sweep value 10 given more than once"),
-    ], ids=["sizes", "jobs", "graphon", "values", "res", "k", "sweep-k", "sweep-n", "sweep-M",
+    ], ids=["sizes", "graphon", "values", "res", "k", "sweep-k", "sweep-n", "sweep-M",
             "sweep-k-pooled", "seed", "M", "values-without-sweep", "repeated-graphon", "repeated-method",
             "repeated-sweep-value"])
     def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
-                                                     args, jobs, message):
+                                                     args, message):
         def refuse(cfg):
             raise AssertionError("benchmark work started")
 
         monkeypatch.setattr("multigraphon.bench.run_benchmark", refuse)
-        if jobs is None:
-            monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("MULTIGRAPHON_JOBS", jobs)
         out = tmp_path / "rows.csv"
         argv = ["benchmark", "--M", "2", "--trials", "1", "--method", "jgs", "--res", "40",
                 "--out", str(out)] + args
@@ -645,11 +627,10 @@ class TestCliExitStatus:
         )
         assert not rows.exists()
 
-    def test_failed_rows_give_exit_status_1(self, tmp_path, capsys, monkeypatch):
+    def test_failed_rows_give_exit_status_1(self, tmp_path, capsys):
         # the failure of TestBenchmark.test_failures_recorded_not_raised: the
         # evaluation resolution (20) lies below the pooled usvt-pool grid of
         # the graph size (24)
-        monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
         out = tmp_path / "rows.csv"
         args = ["benchmark", "--graphon", "1", "--M", "3", "--sizes", "fixed:24", "--trials", "1",
                 "--seed", "5", "--method", "jgs", "--method", "usvt-pool", "--res", "20",
@@ -662,10 +643,9 @@ class TestCliExitStatus:
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["benchmark", "estimate", "estimate-jgs", "smooth"])
-    def test_nonfinite_lambda_rejected(self, tmp_path, capsys, monkeypatch, command, lam):
+    def test_nonfinite_lambda_rejected(self, tmp_path, capsys, command, lam):
         # a non-finite TV weight used to skip smoothing (nan), or fail late
         # with a message about the estimate values (smooth)
-        monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
         coll_path, plain = tmp_path / "c.jsonl", tmp_path / "plain.csv"
         assert main(["simulate", "--graphon", "1", "--M", "2", "--sizes", "fixed:8",
                      "--out", str(coll_path)]) == 0
@@ -784,10 +764,9 @@ class TestEstimateMeta:
 
 
 class TestEvaluateRows:
-    def test_evaluate_row_equals_benchmark_row(self, tmp_path, monkeypatch):
+    def test_evaluate_row_equals_benchmark_row(self, tmp_path):
         # singleton graphs, so sas-pool and usvt-pool skip some; evaluate used
         # to write the pooled rows a k and the jgs ordering's MAE
-        monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
         seed, methods = "6", ["jgs", "jgs-smooth", "sas-pool", "usvt-pool"]
         coll_path, evaluated, benched = tmp_path / "c.jsonl", tmp_path / "e.csv", tmp_path / "b.csv"
         assert main(["simulate", "--graphon", "10", "--M", "12", "--sizes", "uniform:1:14", "--seed", seed,
@@ -842,7 +821,8 @@ class TestEvaluateRows:
         assert not rows.exists()
 
     def test_unknown_values_left_empty(self, tmp_path):
-        # a collection saved without a sidecar gave seed 0, a --truth run graphon -1
+        # a collection saved without a sidecar gave seed 0, a --truth run graphon -1,
+        # an estimate without a meta M 0
         coll_path, est, truth, rows = (tmp_path / name for name in ("c.jsonl", "est.csv", "t.csv", "rows.csv"))
         coll, _ = sample_collection(Graphon.analytic(1), [5, 6, 7], seed=0)
         save_collection(coll, coll_path)
@@ -855,3 +835,8 @@ class TestEvaluateRows:
         (_, first, second) = read_rows(rows)
         assert first[:6] == ["", "3", "", "", first[4], "jgs"] and first[4] != ""
         assert second[:6] == ["3", "3", "", "", first[4], "jgs"]
+        bare = tmp_path / "bare.csv"
+        bare.write_text("0.5\n")
+        assert main(["evaluate", "--estimate", str(bare), "--graphon", "1", "--res", "20",
+                     "--out", str(rows)]) == 0
+        assert read_rows(rows)[3][:6] == ["1", "", "", "", "", "unknown"]

@@ -9,7 +9,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def run_script(name, monkeypatch, *args):
     monkeypatch.setattr(sys, "argv", [name, *args])
-    monkeypatch.delenv("MULTIGRAPHON_JOBS", raising=False)
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
 
 
