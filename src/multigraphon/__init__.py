@@ -11,7 +11,6 @@ from .baselines import (
     estimate_usvt_pool,
     jacobi_eigh,
     pool_estimates,
-    sas_single,
     usvt_single,
 )
 from .bench import ExperimentConfig, ResultRecord, SizeSpec, collection_seed, run_benchmark
@@ -39,6 +38,7 @@ from .jgs import (
     joint_sort,
     normalized_degrees,
     select_k,
+    smooth_estimate,
 )
 from .tv import TvParams, TvResult, rof_energy, tv_denoise, tv_smooth
 
@@ -79,10 +79,10 @@ __all__ = [
     "rof_energy",
     "run_benchmark",
     "sample_collection",
-    "sas_single",
     "save_collection",
     "save_estimate",
     "select_k",
+    "smooth_estimate",
     "tv_denoise",
     "tv_smooth",
     "usvt_single",

@@ -1,6 +1,6 @@
 """Classical per-graph graphon estimators and their pooled multi-graph versions.
 
-Two single-graph methods are provided: a degree-sorted histogram with TV
+Two per-graph methods are pooled: a degree-sorted histogram with TV
 smoothing, and spectral truncation of the adjacency matrix (keep eigenpairs
 above a universal threshold, clip the reconstruction). The multi-graph
 protocol degree-sorts each per-graph estimate, resamples all of them to a
@@ -16,11 +16,10 @@ import numpy as np
 from .collection import Graph, GraphCollection, _offsets, _split
 from .estimates import StepEstimate, resample_grid
 from .jgs import _edge_counts, _stable_order
-from .tv import TvParams, _require_int, tv_smooth
+from .tv import TvParams, tv_smooth
 
 __all__ = [
     "jacobi_eigh",
-    "sas_single",
     "usvt_single",
     "pool_estimates",
     "estimate_sas_pool",
@@ -88,32 +87,6 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     )
 
 
-def sas_single(
-    graph: Graph,
-    h: int | None = None,
-    lam: float = DEFAULT_SAS_LAMBDA,
-    smooth: bool = True,
-) -> np.ndarray:
-    """Single-graph degree-sorted histogram with TV smoothing.
-
-    Nodes are sorted by normalized degree (stable, index tie-break) and
-    partitioned into consecutive bins of ``h`` nodes (the last bin may be
-    smaller). Block values average the adjacency entries between the two
-    bins excluding self-pairs; the block matrix is then TV-smoothed.
-    Default bin width is ceil(ln n); a given ``h`` must be an integer >= 1.
-    ``h >= n`` collapses to the global edge density.
-    """
-    if graph.n < 2:
-        raise ValueError("single-graph histogram needs at least 2 nodes")
-    if h is None:
-        h = max(1, math.ceil(math.log(graph.n)))
-    _require_int("bin width h", h)
-    blocks = _sas_blocks(GraphCollection((graph,)), h)[0]
-    if smooth:
-        blocks = tv_smooth(blocks, TvParams(lam=lam))
-    return blocks
-
-
 def _sas_blocks(collection: GraphCollection, h: int) -> list[np.ndarray]:
     """Unsmoothed degree-sorted histogram of every graph of the collection.
 
@@ -149,7 +122,9 @@ def usvt_single(graph: Graph, tau: float | None = None) -> np.ndarray:
 
     Eigenpairs of the adjacency with |eigenvalue| >= tau are retained and
     the reconstruction is clipped to [0, 1]. Default threshold is
-    0.2 sqrt(n); a given ``tau`` must be finite and > 0.
+    0.2 sqrt(n); a given ``tau`` must be finite and > 0. A modulus within a
+    relative 1e-9 below tau counts as a tie and is kept, so an exact tie
+    (tau = 1 at n = 25 against an eigenvalue of -1) does not hang on roundoff.
     """
     if graph.n < 2:
         raise ValueError("spectral estimate needs at least 2 nodes")
@@ -159,7 +134,7 @@ def usvt_single(graph: Graph, tau: float | None = None) -> np.ndarray:
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"threshold tau must be finite and > 0, got {tau!r}")
     w, v = jacobi_eigh(graph.adjacency())
-    keep = np.abs(w) >= tau
+    keep = np.abs(w) >= tau * (1 - 1e-9)
     recon = (v[:, keep] * w[keep]) @ v[:, keep].T
     recon = 0.5 * (recon + recon.T)
     return np.clip(recon, 0.0, 1.0)
@@ -218,26 +193,19 @@ def _smooth_by_shape(blocks: list[np.ndarray], params: TvParams) -> list[np.ndar
     return out
 
 
-def estimate_sas_pool(
-    collection: GraphCollection,
-    h: int | None = None,
-    lam: float = DEFAULT_SAS_LAMBDA,
-) -> StepEstimate:
+def estimate_sas_pool(collection: GraphCollection, lam: float = DEFAULT_SAS_LAMBDA) -> StepEstimate:
     """Pooled degree-sorted histogram baseline over the whole collection.
 
-    Bin width defaults to ceil(ln n_max) shared by every graph. Size-1
-    graphs carry no dyad information and are skipped. The common grid is
-    the finest per-graph estimate. Equal to pooling ``sas_single`` of every
-    graph, byte for byte; the TV smoothing of same-shape block matrices
-    runs as one batch.
+    Every graph is cut into bins of ceil(ln n_max) nodes, one width shared
+    by all graphs, and its block matrix is TV-smoothed, one batched call
+    per block shape. Size-1 graphs carry no dyad information and are
+    skipped. The common grid is the finest per-graph estimate.
     """
     t0 = time.perf_counter()
     smoothing = TvParams(lam=lam)  # bad parameters fail before any per-graph work
-    if h is None:
-        h = max(1, math.ceil(math.log(max(collection.sizes))))
-    _require_int("bin width h", h)
+    h = max(1, math.ceil(math.log(max(collection.sizes))))
     ests = _smooth_by_shape(_poolable(collection, _sas_blocks(collection, h)), smoothing)
-    return _pooled_estimate(collection, ests, "sas-pool", {"h": int(h), "lambda": lam}, t0)
+    return _pooled_estimate(collection, ests, "sas-pool", {"h": h, "lambda": lam}, t0)
 
 
 def estimate_usvt_pool(collection: GraphCollection) -> StepEstimate:

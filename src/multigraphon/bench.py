@@ -21,7 +21,7 @@ from .collection import GraphCollection, sample_collection
 from .estimates import StepEstimate
 from .evaluation import evaluate_estimate
 from .graphons import Graphon
-from .jgs import estimate_jgs, joint_sort, normalized_degrees
+from .jgs import estimate_jgs, joint_sort, normalized_degrees, smooth_estimate
 from .tv import TvParams, _require_int
 
 __all__ = [
@@ -207,7 +207,7 @@ def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: flo
     if method == "jgs":
         return estimate_jgs(coll, k=k)
     if method == "jgs-smooth":
-        return estimate_jgs(coll, k=k, smoothing=smoothing)
+        return smooth_estimate(estimate_jgs(coll, k=k), smoothing)
     if method == "sas-pool":
         return estimate_sas_pool(coll, lam=lam)
     if method == "usvt-pool":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from dataclasses import replace
 
@@ -20,8 +19,8 @@ from .collection import load_collection, save_collection
 from .estimates import load_estimate, read_grid, save_estimate
 from .evaluation import evaluate_estimate
 from .graphons import ANALYTIC_IDS, Graphon
-from .jgs import joint_sort, normalized_degrees
-from .tv import TvParams, tv_smooth
+from .jgs import joint_sort, normalized_degrees, smooth_estimate
+from .tv import TvParams
 
 
 def _int_list(text: str, option: str) -> tuple[int, ...]:
@@ -52,17 +51,30 @@ def cmd_estimate(args) -> int:
 
 def cmd_smooth(args) -> int:
     est = load_estimate(args.estimate)
-    smoothed = tv_smooth(est.values, TvParams(lam=args.lam))
-    method = est.method if est.method.endswith("-smooth") else est.method + "-smooth"
-    params = dict(est.params)
-    params["lambda"] = args.lam
-    out = replace(est, values=smoothed, method=method, params=params)
-    save_estimate(out, args.out)
+    if est.method.endswith("-smooth"):
+        raise ValueError(f"{args.estimate}: estimate of method {est.method!r} is already smoothed")
+    save_estimate(smooth_estimate(est, TvParams(lam=args.lam)), args.out)
     print(f"smoothed {args.estimate} (lambda={args.lam}) -> {args.out}")
     return 0
 
 
+def _results_header(path) -> bool:
+    """Whether ``path`` already starts with the results header: False for a
+    missing or empty file, ValueError naming the file for any other first
+    line, so no row is appended to a file that is not a results CSV."""
+    header = ",".join(bench.RESULT_COLUMNS)
+    try:
+        with open(path, newline="", errors="replace") as fh:
+            first = fh.readline()
+    except FileNotFoundError:
+        return False
+    if first and first.rstrip("\r\n") != header:
+        raise ValueError(f"{path}: not a results CSV (its first line is not the header {header})")
+    return bool(first)
+
+
 def cmd_evaluate(args) -> int:
+    has_header = _results_header(args.out)
     est = load_estimate(args.estimate)
     truth = Graphon.analytic(args.graphon) if args.graphon is not None else read_grid(args.truth, Graphon.step)
     ordering = latent = None
@@ -87,10 +99,9 @@ def cmd_evaluate(args) -> int:
     scores = evaluate_estimate(est, truth, resolution=args.res, ordering=ordering, latent=latent)
     rec = ResultRecord(graphon_id=args.graphon, num_graphs=est.n_graphs or None, size_label="", seed=est.seed,
                        method=est.method, **scores)
-    exists = os.path.exists(args.out)
     with open(args.out, "a", newline="") as fh:
         writer = csv.writer(fh)
-        if not exists:
+        if not has_header:
             writer.writerow(bench.RESULT_COLUMNS)
         writer.writerow(rec.row())
     mae = "" if rec.mae is None else f" mae {rec.mae:.6g}"

@@ -40,23 +40,19 @@ class StepEstimate:
         return self.values.shape[0]
 
 
-def _source_cells(k: int, resolution: int) -> np.ndarray:
-    """Source cell (of k equal cells) holding the midpoint of each of the
-    ``resolution`` target cells; non-decreasing, so each source cell owns a
-    contiguous run of target cells."""
-    mids = (np.arange(resolution) + 0.5) / resolution
-    return np.minimum((mids * k).astype(np.int64), k - 1)
-
-
 def resample_grid(values: np.ndarray, resolution: int) -> np.ndarray:
     """Piecewise-constant resampling of a square step grid to resolution x resolution.
 
     Target cell (a, b) takes the source value at the target cell's midpoint,
-    treating the source as a step function on equal-width cells.
+    treating the source as a step function on equal-width cells. The source
+    cells of the midpoints do not decrease, so each source row and column
+    is repeated once per target cell it holds.
     """
     values = np.asarray(values, dtype=float)
-    src = _source_cells(values.shape[0], resolution)
-    return values[np.ix_(src, src)]
+    k = values.shape[0]
+    mids = (np.arange(resolution) + 0.5) / resolution
+    runs = np.bincount(np.minimum((mids * k).astype(np.int64), k - 1), minlength=k)
+    return np.repeat(np.repeat(values, runs, axis=0), runs, axis=1)
 
 
 def save_estimate(est: StepEstimate, path) -> None:

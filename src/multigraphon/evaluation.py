@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .estimates import StepEstimate, _source_cells
+from .estimates import StepEstimate, resample_grid
 from .graphons import Graphon, canonical_rearrangement, degree_function
 from .jgs import JointOrdering
 from .tv import _require_int
@@ -33,9 +33,8 @@ def mise(estimate, truth: Graphon, resolution: int = 1000) -> float:
     if resolution < max(k, truth_k):
         raise ValueError("resolution must be at least as fine as both grids")
     truth_grid = canonical_rearrangement(truth, resolution).grid
-    # resample_grid(values, resolution) - truth_grid, squared, in one buffer
-    counts = np.bincount(_source_cells(k, resolution), minlength=k)
-    sq = np.repeat(np.repeat(values, counts, axis=0), counts, axis=1)
+    # the difference is squared in the resampled grid's own buffer
+    sq = resample_grid(values, resolution)
     sq -= truth_grid
     sq *= sq
     return float(np.mean(sq))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "select_k",
     "jgs_histogram",
     "estimate_jgs",
+    "smooth_estimate",
 ]
 
 
@@ -233,15 +234,10 @@ def jgs_histogram(collection: GraphCollection, ordering: JointOrdering, k: int) 
     )
 
 
-def estimate_jgs(
-    collection: GraphCollection,
-    k: int | str = "auto",
-    smoothing: TvParams | None = None,
-) -> StepEstimate:
+def estimate_jgs(collection: GraphCollection, k: int | str = "auto") -> StepEstimate:
     """Full estimation pipeline: degrees, joint sort, block count, histogram.
 
-    ``k="auto"`` applies :func:`select_k`; ``smoothing`` (a TvParams) adds
-    the total-variation post-smoothing step. Elapsed wall time covers the
+    ``k="auto"`` applies :func:`select_k`. Elapsed wall time covers the
     estimator only.
     """
     t0 = time.perf_counter()
@@ -253,28 +249,31 @@ def estimate_jgs(
     else:
         k_val, k_mode = k, "fixed"
     hist = jgs_histogram(collection, ordering, k_val)
-    values = hist.values
-    method = "jgs"
-    params = {
-        "k": int(k_val),
-        "k_mode": k_mode,
-        "c": 2.0,
-        "degree_divisor": "n-1",
-        "singleton_graphs": len(report.singleton_graphs),
-        "tie_break": "index",
-    }
-    if smoothing is not None:
-        values = tv_smooth(values, smoothing)
-        method = "jgs-smooth"
-        params["lambda"] = smoothing.lam
-    elapsed = time.perf_counter() - t0
     return StepEstimate(
-        values=values,
-        method=method,
+        values=hist.values,
+        method="jgs",
         n_total=N,
         n_graphs=M,
         dyad_count=S,
-        params=params,
-        elapsed_seconds=elapsed,
+        params={
+            "k": int(k_val),
+            "k_mode": k_mode,
+            "c": 2.0,
+            "degree_divisor": "n-1",
+            "singleton_graphs": len(report.singleton_graphs),
+            "tie_break": "index",
+        },
+        elapsed_seconds=time.perf_counter() - t0,
         empty_blocks=hist.empty_blocks,
     )
+
+
+def smooth_estimate(est: StepEstimate, params: TvParams) -> StepEstimate:
+    """The total-variation post-smoothing step: ``est`` with its values
+    smoothed, named ``<method>-smooth``, with ``lambda`` appended last to a
+    copy of its params and the smoothing's time added to its elapsed time."""
+    t0 = time.perf_counter()
+    values = tv_smooth(est.values, params)
+    return replace(est, values=values, method=f"{est.method}-smooth",
+                   params={**est.params, "lambda": params.lam},
+                   elapsed_seconds=est.elapsed_seconds + time.perf_counter() - t0)

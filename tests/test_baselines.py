@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from multigraphon.baselines import (
+    _sas_blocks,
     estimate_sas_pool,
     estimate_usvt_pool,
     jacobi_eigh,
     pool_estimates,
-    sas_single,
     usvt_single,
 )
+from multigraphon.bench import SizeSpec, sample_cell
 from multigraphon.collection import Graph, GraphCollection, sample_collection
 from multigraphon.graphons import Graphon
+from multigraphon.tv import TvParams, tv_smooth
 
 NO_EDGES = np.empty((0, 2), dtype=np.int64)
 
@@ -21,6 +23,12 @@ NO_EDGES = np.empty((0, 2), dtype=np.int64)
 def complete_graph(n):
     edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
     return Graph(n, np.array(edges))
+
+
+def sas_blocks(graph, h):
+    """The unsmoothed degree-sorted histogram of one graph, as sas-pool
+    builds it for every graph of a collection."""
+    return _sas_blocks(GraphCollection((graph,)), h)[0]
 
 
 def char_poly_roots_3x3(a):
@@ -72,7 +80,28 @@ class TestJacobi:
             jacobi_eigh(a, max_sweeps=0)
 
 
+def usvt_eigh(graph):
+    """``usvt_single``'s reconstruction from LAPACK's eigensolver, keeping
+    every eigenvalue whose modulus equals 0.2 sqrt(n) up to roundoff."""
+    tau = 0.2 * math.sqrt(graph.n)
+    w, v = np.linalg.eigh(graph.adjacency())
+    keep = np.abs(w) >= tau * (1 - 1e-9)
+    recon = (v[:, keep] * w[keep]) @ v[:, keep].T
+    return np.clip(0.5 * (recon + recon.T), 0.0, 1.0)
+
+
 class TestUsvt:
+    @pytest.mark.parametrize("seed, index", [(1, 6), (1, 9), (2, 4), (2, 17)])
+    def test_exact_tie_with_threshold_kept(self, seed, index):
+        # n = 25 puts tau at exactly 1, and these graphs have eigenvalues of
+        # exactly -1; the Jacobi and LAPACK solvers round them to either side
+        coll, _, _ = sample_cell(seed, 12, 0, SizeSpec.parse("uniform:2:40"), 20)
+        g = coll.graphs[index]
+        assert g.n == 25
+        w = np.linalg.eigvalsh(g.adjacency())
+        assert np.any(np.abs(np.abs(w) - 1.0) < 1e-12)
+        assert np.max(np.abs(usvt_single(g) - usvt_eigh(g))) < 1e-9
+
     def test_k3_exact(self):
         g = complete_graph(3)
         out = usvt_single(g, tau=0.2 * math.sqrt(3))
@@ -107,11 +136,11 @@ class TestUsvt:
 
 class TestSas:
     def test_k4_two_bins_all_ones(self):
-        blocks = sas_single(complete_graph(4), h=2)
+        blocks = tv_smooth(sas_blocks(complete_graph(4), 2), TvParams())
         assert np.array_equal(blocks, np.ones((2, 2)))
 
     def test_empty_graph_zero(self):
-        blocks = sas_single(Graph(6, NO_EDGES), h=2)
+        blocks = tv_smooth(sas_blocks(Graph(6, NO_EDGES), 2), TvParams())
         assert np.array_equal(blocks, np.zeros((3, 3)))
 
     def test_two_block_sbm_separates(self):
@@ -123,21 +152,23 @@ class TestSas:
         edges = [[i, j] for i in range(20) for j in range(i + 1, 20)]
         edges += [[i, j] for i in range(20, 40) for j in range(i + 1, 40)]
         g = Graph(40, np.array(edges))
-        raw = sas_single(g, h=20, smooth=False)
+        raw = sas_blocks(g, 20)
         assert np.array_equal(raw, np.eye(2))
-        smoothed = sas_single(g, h=20)
+        smoothed = tv_smooth(raw, TvParams())
         assert np.max(np.abs(smoothed - np.eye(2))) < 0.15
 
     def test_wide_bin_gives_global_density(self):
         g = Graph(4, np.array([[0, 1], [2, 3]]))
-        blocks = sas_single(g, h=10, smooth=False)
+        blocks = sas_blocks(g, 10)
         assert blocks.shape == (1, 1)
         assert blocks[0, 0] == pytest.approx(4 / 12)  # ordered pairs, no self-pairs
 
     def test_default_bin_width(self):
+        # the pool's width for a one-graph collection is ceil(ln n)
         g = complete_graph(9)
-        blocks = sas_single(g, smooth=False)
-        assert blocks.shape[0] == math.ceil(9 / math.ceil(math.log(9)))
+        est = estimate_sas_pool(GraphCollection((g,)))
+        assert est.params["h"] == math.ceil(math.log(9))
+        assert est.k == math.ceil(9 / math.ceil(math.log(9)))
 
     def test_relabeling_invariance_distinct_degrees(self):
         # threshold-style graph with distinct degree multiset per class
@@ -145,25 +176,13 @@ class TestSas:
         g = Graph(4, np.array(edges))
         perm = np.array([2, 0, 3, 1])
         relabeled = Graph(4, np.sort(perm[g.edges], axis=1))
-        a = sas_single(g, h=2, smooth=False)
-        b = sas_single(relabeled, h=2, smooth=False)
+        a = sas_blocks(g, 2)
+        b = sas_blocks(relabeled, 2)
         assert np.array_equal(a, b)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sas_single(Graph(1, NO_EDGES))
-        with pytest.raises(ValueError):
-            sas_single(complete_graph(3), h=0)
-
-    @pytest.mark.parametrize("h", [2.7, 2.0, True, np.float64(2.0)])
-    def test_non_integer_bin_width_rejected(self, h):
-        # int(h) used to turn 2.7 into 2 without a word
-        with pytest.raises(ValueError, match=re.escape(f"bin width h must be an integer >= 1, got {h!r}")):
-            sas_single(complete_graph(5), h=h)
 
     def test_numpy_integer_bin_width_accepted(self):
         g = complete_graph(5)
-        assert np.array_equal(sas_single(g, h=np.int64(2)), sas_single(g, h=2))
+        assert np.array_equal(sas_blocks(g, np.int64(2)), sas_blocks(g, 2))
 
 
 class TestPooling:
@@ -242,16 +261,6 @@ class TestPooledEstimators:
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             estimate_sas_pool(coll, lam=lam)
 
-    @pytest.mark.parametrize("h", [0, 2.7, 3.0, True, "3"])
-    def test_sas_pool_bad_bin_width_rejected_before_any_graph(self, monkeypatch, h):
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-graph work started")
-
-        monkeypatch.setattr("multigraphon.baselines._sas_blocks", refuse)
-        coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
-        with pytest.raises(ValueError, match=re.escape(f"bin width h must be an integer >= 1, got {h!r}")):
-            estimate_sas_pool(coll, h=h)
-
     def test_sas_pool_needs_no_dense_adjacency_or_graph_views(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("dense adjacency or per-graph views built")
@@ -262,4 +271,4 @@ class TestPooledEstimators:
         monkeypatch.setattr(GraphCollection, "graphs", property(refuse))
         est = estimate_sas_pool(coll)
         assert np.array_equal(est.values, want.values) and est.params["skipped_singletons"] == 1
-        assert sas_single(Graph(4, np.array([[0, 1], [1, 2]])), h=2).shape == (2, 2)
+        assert sas_blocks(Graph(4, np.array([[0, 1], [1, 2]])), 2).shape == (2, 2)

@@ -347,6 +347,33 @@ class TestCli:
         meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
         assert (meta["method"], meta["params"]["lambda"]) == ("jgs-smooth", 0.0)
 
+    def test_smooth_equals_estimate_jgs_smooth(self, tmp_path):
+        coll_path, plain, direct, smoothed = (tmp_path / name for name in ("c.jsonl", "p.csv", "d.csv", "s.csv"))
+        assert main(["simulate", "--graphon", "3", "--M", "4", "--sizes", "fixed:30",
+                     "--seed", "2", "--out", str(coll_path)]) == 0
+        for method, out in (("jgs", plain), ("jgs-smooth", direct)):
+            assert main(["estimate", "--collection", str(coll_path), "--method", method,
+                         "--lambda", "0.1", "--out", str(out)]) == 0
+        assert main(["smooth", "--estimate", str(plain), "--lambda", "0.1", "--out", str(smoothed)]) == 0
+        assert smoothed.read_text() == direct.read_text()
+        metas = [json.loads(Path(f"{path}.meta.json").read_text()) for path in (plain, direct, smoothed)]
+        elapsed = [meta.pop("elapsed_seconds") for meta in metas]
+        assert metas[2] == metas[1]
+        # the TV time is counted; smooth used to copy the input's elapsed time
+        assert elapsed[2] > elapsed[0]
+
+    def test_smooth_refuses_a_smoothed_estimate(self, tmp_path, capsys):
+        # it wrote "method": "jgs-smooth" with the second lambda, over values
+        # smoothed twice, and left the TV time out of elapsed_seconds
+        coll_path, est, out = tmp_path / "c.jsonl", tmp_path / "est.csv", tmp_path / "out.csv"
+        assert main(["simulate", "--graphon", "1", "--M", "3", "--sizes", "fixed:20", "--out", str(coll_path)]) == 0
+        assert main(["estimate", "--collection", str(coll_path), "--method", "jgs-smooth", "--out", str(est)]) == 0
+        capsys.readouterr()
+        assert main(["smooth", "--estimate", str(est), "--lambda", "0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"multigraphon: error: {est}: estimate of method 'jgs-smooth' is already smoothed\n")
+        assert not out.exists()
+
     def test_usvt_pool_on_empty_graphs(self, tmp_path):
         from multigraphon.collection import Graph, GraphCollection
 
@@ -840,3 +867,21 @@ class TestEvaluateRows:
         assert main(["evaluate", "--estimate", str(bare), "--graphon", "1", "--res", "20",
                      "--out", str(rows)]) == 0
         assert read_rows(rows)[3][:6] == ["1", "", "", "", "", "unknown"]
+
+    def test_evaluate_refuses_to_append_to_another_file(self, tmp_path, capsys):
+        # evaluate appended a CSV row to the collection and exited 0; the
+        # next read of the collection failed on that line
+        coll_path, est, empty = tmp_path / "c.jsonl", tmp_path / "est.csv", tmp_path / "empty.csv"
+        assert main(["simulate", "--graphon", "1", "--M", "3", "--sizes", "fixed:6", "--out", str(coll_path)]) == 0
+        assert main(["estimate", "--collection", str(coll_path), "--method", "jgs", "--out", str(est)]) == 0
+        before = coll_path.read_bytes()
+        capsys.readouterr()
+        assert main(["evaluate", "--estimate", str(est), "--graphon", "1", "--out", str(coll_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"multigraphon: error: {coll_path}: not a results CSV (its first line is not the header "
+            "graphon_id,M,size_spec,seed,k,method,mise,mae,empty_frac,seconds)\n")
+        assert coll_path.read_bytes() == before
+        # an empty file takes the header before its first row
+        empty.touch()
+        assert main(["evaluate", "--estimate", str(est), "--graphon", "1", "--out", str(empty)]) == 0
+        assert [row[0] for row in read_rows(empty)] == ["graphon_id", "1"]

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigraphon import baselines, tv
-from multigraphon.baselines import estimate_sas_pool, jacobi_eigh, pool_estimates, sas_single
+from multigraphon.baselines import estimate_sas_pool, jacobi_eigh, pool_estimates
 from multigraphon.bench import SizeSpec, estimate, sample_cell
 from multigraphon.collection import Graph, GraphCollection, sample_collection
 from multigraphon.graphons import Graphon
@@ -410,8 +410,8 @@ def test_sas_pool_equals_per_graph_pooling():
     sizes = [1, 2, 3, 5, 8, 9, 9, 12, 20, 1, 33, 40, 40, 17]
     coll, _ = sample_collection(Graphon.analytic(4), sizes, seed=21)
     coll = GraphCollection(list(coll.graphs) + [Graph(6, np.empty((0, 2), dtype=np.int64))])
-    for h, lam in ((None, 0.05), (4, 0.3), (1, 0.01)):
-        est = estimate_sas_pool(coll, h=h, lam=lam)
+    for lam in (0.05, 0.3, 0.01):
+        est = estimate_sas_pool(coll, lam=lam)
         width = est.params["h"]
         assert len({frozen_sas_single(g, h=width, smooth=False).shape for g in coll.graphs if g.n >= 2}) > 2
         assert same_bytes(est.values, frozen_sas_pool(coll, width, lam))
@@ -441,13 +441,15 @@ def test_sas_matches_frozen_double_loop(graphs, data):
     lam = data.draw(st.sampled_from([0.05, 0.3]), label="lam")
     for g in graphs:
         if g.n >= 2:
-            for smooth in (False, True):
-                want = frozen_sas_single(g, h=h, lam=lam, smooth=smooth)
-                assert same_bytes(sas_single(g, h=h, lam=lam, smooth=smooth), want)
+            width = max(1, math.ceil(math.log(g.n))) if h is None else h
+            blocks = baselines._sas_blocks(GraphCollection((g,)), width)[0]
+            assert same_bytes(blocks, frozen_sas_single(g, h=h, smooth=False))
+            want = frozen_sas_single(g, h=h, lam=lam)
+            assert same_bytes(tv_smooth(blocks, TvParams(lam=lam)), want)
     if n_max >= 2:
         coll = GraphCollection(graphs)
-        est = estimate_sas_pool(coll, h=h, lam=lam)
-        width = max(1, math.ceil(math.log(n_max))) if h is None else h
+        est = estimate_sas_pool(coll, lam=lam)
+        width = max(1, math.ceil(math.log(n_max)))
         assert est.params["h"] == width
         assert same_bytes(est.values, frozen_sas_pool(coll, width, lam))
         assert est.params["skipped_singletons"] == sum(g.n < 2 for g in graphs)

@@ -15,6 +15,7 @@ from multigraphon.jgs import (
     joint_sort,
     normalized_degrees,
     select_k,
+    smooth_estimate,
 )
 from multigraphon.tv import TvParams
 from oracles import frozen_joint_rank, jgs_histogram_naive
@@ -380,7 +381,7 @@ class TestEstimateJgs:
         assert json.dumps(estimate_jgs(coll, k="auto").params) == (
             '{"k": 2, "k_mode": "auto", "c": 2.0, "degree_divisor": "n-1", '
             '"singleton_graphs": 1, "tie_break": "index"}')
-        assert json.dumps(estimate_jgs(coll, k=3, smoothing=TvParams(lam=0.05)).params) == (
+        assert json.dumps(smooth_estimate(estimate_jgs(coll, k=3), TvParams(lam=0.05)).params) == (
             '{"k": 3, "k_mode": "fixed", "c": 2.0, "degree_divisor": "n-1", '
             '"singleton_graphs": 1, "tie_break": "index", "lambda": 0.05}')
 
@@ -393,10 +394,12 @@ class TestEstimateJgs:
     def test_smoothing_switches_method(self):
         coll, _ = sample_collection(Graphon.analytic(1), [15] * 3, seed=2)
         plain = estimate_jgs(coll, k=3)
-        smooth = estimate_jgs(coll, k=3, smoothing=TvParams(lam=0.05))
+        smooth = smooth_estimate(plain, TvParams(lam=0.05))
         assert smooth.method == "jgs-smooth"
         assert smooth.params["lambda"] == 0.05
         assert not np.array_equal(plain.values, smooth.values)
+        assert "lambda" not in plain.params  # the params are copied, not updated
+        assert smooth.elapsed_seconds >= plain.elapsed_seconds
 
     @pytest.mark.parametrize("k", [2.7, 2.0, True, "3"])
     def test_non_integer_k_rejected(self, k):
