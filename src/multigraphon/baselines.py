@@ -36,23 +36,35 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
     Sweeps rotate every upper-triangle pair; convergence is declared when
     the off-diagonal Frobenius norm drops below ``tol``.
 
-    The input must be exactly symmetric, and every rotation keeps it so: the
-    row update of pair (p, q) repeats, value for value, the column update
-    just made outside the 2x2 block. So only columns are rotated, those of
-    ``a`` and ``v`` together as rows of one transposed stack, and the rows
-    are copied from them.
+    The input must be finite and exactly symmetric, and every rotation keeps
+    it so: the row update of pair (p, q) repeats, value for value, the column
+    update just made outside the 2x2 block. So only columns are rotated,
+    those of ``a`` and ``v`` together as rows of one transposed stack. A
+    rotation scales and combines the two rows in place through preallocated
+    views and two scratch rows, writes the 2x2 block from Python floats, and
+    copies the two rows into the matching columns. The cyclic pair order and
+    every rounding step are those of the plain row-and-column update.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=0.0, rtol=0.0, equal_nan=False):
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
+    if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
+    n = a.shape[0]
     if n == 1:
         return np.diag(a).copy(), np.eye(1)
     # row j holds column j of a, then column j of v
     cols = np.concatenate([a.T, np.eye(n)], axis=1)
     at = cols[:, :n]
+    rows, a_rows, a_cols = list(cols), list(at), list(at.T)
+    sp, sq = np.empty(2 * n), np.empty(2 * n)
+    # c and s enter the ufuncs as 0-d arrays: a Python float operand costs a
+    # conversion on every call. In-place operators and slice assignment
+    # dispatch faster than the equivalent np.multiply(..., out=) and
+    # np.copyto calls, with the same IEEE operations.
+    c0, s0 = np.empty(()), np.empty(())
 
     def off_norm(m):
         # summed directly over off-diagonal entries; subtracting the diagonal
@@ -65,20 +77,28 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
         if off_norm(at) <= tol:
             return np.diag(at).copy(), cols[:, n:].T.copy()
         for p in range(n - 1):
+            rp = rows[p]
             for q in range(p + 1, n):
-                apq = at[p, q]
+                apq = rp.item(q)
                 if apq == 0.0:
                     continue
-                phi = 0.5 * math.atan2(2.0 * apq, at[q, q] - at[p, p])
+                rq = rows[q]
+                phi = 0.5 * math.atan2(2.0 * apq, rq.item(q) - rp.item(p))
                 c, s = math.cos(phi), math.sin(phi)
-                col_p, col_q = cols[p], cols[q]
-                cols[p], cols[q] = c * col_p - s * col_q, s * col_p + c * col_q
-                app = c * at[p, p] - s * at[p, q]
-                aqq = s * at[q, p] + c * at[q, q]
-                at[:, p] = at[p]
-                at[:, q] = at[q]
-                at[p, p], at[q, q] = app, aqq
-                at[p, q] = at[q, p] = 0.0
+                c0[()], s0[()] = c, s
+                # rp, rq = c rp - s rq, s rp + c rq
+                np.multiply(rp, s0, out=sp)
+                np.multiply(rq, s0, out=sq)
+                rp *= c0
+                rp -= sq
+                rq *= c0
+                rq += sp
+                app = c * rp.item(p) - s * rp.item(q)
+                aqq = s * rq.item(p) + c * rq.item(q)
+                rp[p], rp[q] = app, 0.0
+                rq[p], rq[q] = 0.0, aqq
+                a_cols[p][...] = a_rows[p]
+                a_cols[q][...] = a_rows[q]
     if off_norm(at) <= tol:
         return np.diag(at).copy(), cols[:, n:].T.copy()
     raise ArithmeticError(

@@ -31,7 +31,12 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
 
 
 def _parse_k(text: str):
-    return "auto" if text == "auto" else int(text)
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {text!r}") from None
 
 
 def cmd_simulate(args) -> int:

@@ -72,6 +72,16 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("a", [
+        [[np.nan, 1.0], [1.0, 0.0]],
+        [[np.inf, 1.0], [1.0, 0.0]],
+        np.full((6, 6), np.inf),
+    ], ids=["nan", "inf-diagonal", "all-inf"])
+    def test_nonfinite_rejected(self, a):
+        # these were refused as asymmetric, returned, or ran every sweep on NaNs
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            jacobi_eigh(np.array(a))
+
     def test_nonconvergence_diagnostics(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((8, 8))

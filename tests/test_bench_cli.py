@@ -551,6 +551,21 @@ class TestCliExitStatus:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --pool-res 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "benchmark"])
+    @pytest.mark.parametrize("k", ["2.5", "abc"])
+    def test_bad_k_says_what_k_accepts(self, tmp_path, capsys, command, k):
+        # the message used to name the parser's private function, _parse_k
+        argv = {
+            "estimate": ["estimate", "--collection", str(tmp_path / "c.jsonl"), "--method", "jgs"],
+            "benchmark": ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:6",
+                          "--method", "jgs"],
+        }[command] + ["--k", k, "--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --k: expected an integer >= 1 or 'auto', got '{k}'\n")
+
     @pytest.mark.parametrize("case", ["empty-collection", "truncated-sidecar-estimate",
                                       "truncated-sidecar-mae", "ragged-estimate"])
     def test_input_file_error_names_the_file(self, tmp_path, capsys, case):

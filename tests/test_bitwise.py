@@ -177,6 +177,12 @@ def symmetric(rng, n, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def random_adjacency(rng, prob):
+    """A simple graph's adjacency with independent edges of probability ``prob[i, j]``."""
+    a = np.triu((rng.random(prob.shape) < prob).astype(float), 1)
+    return a + a.T
+
+
 class TestJacobiBytes:
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 40])
     def test_random_symmetric(self, n):
@@ -186,11 +192,21 @@ class TestJacobiBytes:
         w0, v0 = frozen_jacobi_eigh(a)
         assert same_bytes(w, w0) and same_bytes(v, v0)
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 24])
-    def test_adjacency(self, n):
-        rng = np.random.default_rng(n)
-        a = np.triu((rng.random((n, n)) < 0.4).astype(float), 1)
-        a = a + a.T
+    @pytest.mark.parametrize("a", [
+        *[pytest.param(random_adjacency(np.random.default_rng(n), np.full((n, n), 0.4)), id=str(n))
+          for n in (2, 3, 7, 24)],
+        # Table-1 size: two communities of 50 nodes
+        pytest.param(random_adjacency(np.random.default_rng(100),
+                                      np.kron([[0.5, 0.1], [0.1, 0.3]], np.ones((50, 50)))),
+                     id="two-community-100"),
+        # K25: the default USVT threshold is exactly 1, and -1 is an eigenvalue
+        pytest.param(np.ones((25, 25)) - np.eye(25), id="K25"),
+        # isolated nodes 0, 4 and 8 and a path 3-5-6-7 hanging off a
+        # triangle: zero pairs are skipped mid-sweep
+        pytest.param(Graph(9, np.array([[1, 2], [1, 3], [2, 3], [3, 5], [5, 6], [6, 7]])).adjacency(),
+                     id="isolated-and-pendant"),
+    ])
+    def test_adjacency(self, a):
         for got, want in zip(jacobi_eigh(a), frozen_jacobi_eigh(a)):
             assert same_bytes(got, want)
 
