@@ -31,12 +31,12 @@ def _int_list(text: str, option: str) -> tuple[int, ...]:
 
 
 def _parse_k(text: str):
+    # ASCII digits only: int() would also take "1_0", " 3 ", "+3" and "٣"
     if text == "auto":
         return text
-    try:
+    if text.isascii() and text.isdigit():
         return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {text!r}") from None
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {text!r}")
 
 
 def cmd_simulate(args) -> int:

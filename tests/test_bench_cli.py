@@ -552,7 +552,7 @@ class TestCliExitStatus:
         assert "unrecognized arguments: --pool-res 20" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["estimate", "benchmark"])
-    @pytest.mark.parametrize("k", ["2.5", "abc"])
+    @pytest.mark.parametrize("k", ["2.5", "abc", "1_0", " 3 ", "+3", "-3", "\u0663", ""])
     def test_bad_k_says_what_k_accepts(self, tmp_path, capsys, command, k):
         # the message used to name the parser's private function, _parse_k
         argv = {

@@ -267,6 +267,13 @@ def stop_reason(h, params):
     return reason
 
 
+def signed_zero_grid():
+    h = symmetric(np.random.default_rng(13), 6)
+    h[0, 3], h[3, 0] = -0.0, 0.0
+    h[2, 2] = -0.0
+    return h
+
+
 def tv_cases():
     rng = np.random.default_rng(7)
     cases = [
@@ -285,6 +292,13 @@ def tv_cases():
         ("large", rng.random((120, 90)), TvParams(lam=0.1, max_iters=20)),
         # more steps than the energy record first holds
         ("long run", rng.random((9, 9)), TvParams(lam=2.0, max_iters=1000, tol=1e-9)),
+        # symmetric grids, which run with one dual component ("energy stop"
+        # is symmetric too)
+        ("symmetric, tolerance stop", symmetric(rng, 7), TvParams(lam=0.05, tol=1e-2)),
+        ("symmetric, cap", symmetric(rng, 8), TvParams(lam=2.0, max_iters=3)),
+        ("symmetric, long run", symmetric(rng, 9), TvParams(lam=2.0, max_iters=1000, tol=1e-9)),
+        # equal to its transpose under ==, but -0.0 faces 0.0: two components
+        ("signed zeros", signed_zero_grid(), TvParams(lam=0.1)),
     ]
     return cases
 
@@ -303,14 +317,19 @@ MIXED_STACK_PARAMS = (TvParams(), TvParams(lam=0.02, tol=1e-3), TvParams(lam=5.0
 class TestTvBytes:
     @pytest.mark.parametrize("name, h, params", tv_cases(), ids=[c[0] for c in tv_cases()])
     def test_single_grid(self, name, h, params):
-        assert_same_result(tv_denoise(h, params), frozen_tv_denoise(h, params))
+        res = tv_denoise(h, params)
+        assert_same_result(res, frozen_tv_denoise(h, params))
+        if same_bytes(h, h.T):
+            assert same_bytes(res.values, res.values.T)
 
     def test_stop_reasons_covered(self):
         reasons = {name: stop_reason(h, p) for name, h, p in tv_cases() if p.lam > 0}
         assert reasons["square"] == reasons["tolerance stop"] == "tolerance"
         assert reasons["energy stop"] == reasons["one row, energy stop"] == "energy"
         assert reasons["max iters"] == reasons["rectangular"] == "cap"
-        assert reasons["long run"] == "tolerance"
+        assert reasons["long run"] == reasons["symmetric, long run"] == "tolerance"
+        assert reasons["symmetric, tolerance stop"] == "tolerance"
+        assert reasons["symmetric, cap"] == "cap"
         long_run = next(frozen_tv_denoise(h, p) for name, h, p in tv_cases() if name == "long run")
         assert 257 < long_run.iterations < 1000
 
@@ -330,12 +349,37 @@ class TestTvBytes:
             results = tv._denoise_stack(stack, p)
             for g, res in zip(stack, results):
                 assert_same_result(res, frozen_tv_denoise(g, p))
+                assert same_bytes(res.values, res.values.T)
             assert len({res.iterations for res in results}) > 1
             out = tv_smooth(stack, p)
             assert out.shape == stack.shape
             for g, o in zip(stack, out):
                 assert same_bytes(o, frozen_tv_smooth(g, p))
                 assert same_bytes(o, tv_smooth(g, p))
+
+    def test_symmetric_and_asymmetric_grids_in_one_stack(self):
+        # one asymmetric grid sends the whole stack down the two-component path
+        rng = np.random.default_rng(14)
+        stack = np.stack([symmetric(rng, 6), rng.random((6, 6)), energy_stop_grid(), signed_zero_grid()])
+        for p in MIXED_STACK_PARAMS:
+            assert_same_as_frozen(stack, p)
+            for g, o in zip(stack, tv_smooth(stack, p)):
+                assert same_bytes(o, frozen_tv_smooth(g, p))
+
+    @pytest.mark.parametrize("graphon_id, seed, sizes, M, k", [
+        (1, 7, "uniform:10:100", 200, 25),  # the Table-1 cells of the ROADMAP
+        (10, 7, "uniform:10:100", 200, 25),
+        (1, 1, "fixed:1000", 4, 44),  # a large_graphs cell
+    ])
+    def test_jgs_histograms(self, graphon_id, seed, sizes, M, k):
+        coll, _, _ = sample_cell(seed, graphon_id, 0, SizeSpec.parse(sizes), M)
+        h = estimate("jgs", coll).values
+        assert h.shape == (k, k)
+        res = tv_denoise(h)
+        assert_same_result(res, frozen_tv_denoise(h))
+        assert res.stop == stop_reason(h, TvParams())
+        assert same_bytes(res.values, res.values.T)
+        assert same_bytes(tv_smooth(h), frozen_tv_smooth(h))
 
     def test_nonfinite_stack_rejected(self):
         stack = np.zeros((3, 4, 4))
@@ -415,9 +459,14 @@ class TestTvBlocks:
         tol=st.floats(1e-8, 1e-2),
         max_iters=st.integers(1, 600),
         seed=st.integers(0, 2**32 - 1),
+        symmetrize=st.booleans(),
     )
-    def test_any_stack_matches_frozen(self, shape, lam, tol, max_iters, seed):
+    def test_any_stack_matches_frozen(self, shape, lam, tol, max_iters, seed, symmetrize):
+        if symmetrize:
+            shape = shape[:2] + shape[1:2]
         stack = np.random.default_rng(seed).random(shape)
+        if symmetrize:
+            stack = 0.5 * (stack + stack.swapaxes(1, 2))
         assert_same_as_frozen(stack, TvParams(lam=lam, tol=tol, max_iters=max_iters))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
+from multigraphon import tv
 from multigraphon.tv import TvParams, rof_energy, tv_denoise, tv_smooth
 
 CHECKER = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -46,6 +49,19 @@ def test_lambda_zero_is_identity():
     out = tv_smooth(h, TvParams(lam=0.0))
     assert np.max(np.abs(out - h)) <= 1e-12
     assert out is not h
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (2, 2, 3, 3)])
+def test_smooth_refuses_shape_before_any_work(monkeypatch, shape):
+    # a non-square input used to run the whole iteration before failing
+    # to broadcast u against its transpose; a 4-d one was called "not 2-d"
+    def no_work(*args):
+        raise AssertionError("the iteration ran")
+
+    monkeypatch.setattr(tv, "_denoise_stack", no_work)
+    with pytest.raises(ValueError, match=r"square matrix or a \(B, k, k\) stack .*got shape "
+                                         + re.escape(str(shape))):
+        tv_smooth(np.random.default_rng(0).random(shape))
 
 
 def test_nonfinite_rejected():
