@@ -50,6 +50,16 @@ RESULT_COLUMNS = (
 )
 
 
+def _parse_int(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits, after an optional minus
+    sign (so that range checks can report a negative value); ValueError for
+    any other text, where int() would also take "1_0", " 3 ", "+3" and "٣"."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class SizeSpec:
     """Graph-size rule: every graph has ``n`` nodes, or sizes are drawn
@@ -74,7 +84,7 @@ class SizeSpec:
         bad = ValueError(f"bad size spec {text!r}; expected fixed:N or uniform:LO:HI")
         kind, *fields = text.split(":")
         try:
-            numbers = [int(x) for x in fields]
+            numbers = [_parse_int(x) for x in fields]
         except ValueError:
             raise bad from None
         if kind == "fixed" and len(numbers) == 1:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import bench
-from .bench import ExperimentConfig, ResultRecord, SizeSpec
+from .bench import ExperimentConfig, ResultRecord, SizeSpec, _parse_int
 from .collection import load_collection, save_collection
 from .estimates import load_estimate, read_grid, save_estimate
 from .evaluation import evaluate_estimate
@@ -25,17 +25,27 @@ from .tv import TvParams
 
 def _int_list(text: str, option: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.replace(",", " ").split())
+        return tuple(_parse_int(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise ValueError(f"{option} expects comma-separated integers, got {text!r}") from None
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_k(text: str):
-    # ASCII digits only: int() would also take "1_0", " 3 ", "+3" and "٣"
+    # no sign: "-3" is refused here, while "0" reaches the range check
     if text == "auto":
         return text
-    if text.isascii() and text.isdigit():
-        return int(text)
+    try:
+        if not text.startswith("-"):
+            return _parse_int(text)
+    except ValueError:
+        pass
     raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {text!r}")
 
 
@@ -146,10 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="sample a synthetic collection to JSONL")
-    p.add_argument("--graphon", type=int, required=True, choices=ANALYTIC_IDS)
-    p.add_argument("--M", type=int, required=True, help="number of graphs")
+    p.add_argument("--graphon", type=_int_arg, required=True, choices=ANALYTIC_IDS)
+    p.add_argument("--M", type=_int_arg, required=True, help="number of graphs")
     p.add_argument("--sizes", required=True, help="fixed:N or uniform:LO:HI")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -170,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score an estimate against a reference graphon")
     p.add_argument("--estimate", required=True)
     ref = p.add_mutually_exclusive_group(required=True)
-    ref.add_argument("--graphon", type=int, choices=ANALYTIC_IDS)
+    ref.add_argument("--graphon", type=_int_arg, choices=ANALYTIC_IDS)
     ref.add_argument("--truth", help="CSV file holding a symmetric step grid")
-    p.add_argument("--res", type=int, default=1000)
+    p.add_argument("--res", type=_int_arg, default=1000)
     p.add_argument("--collection", help="collection file (for --mae)")
     p.add_argument("--mae", action="store_true", help="also report latent-position MAE")
     p.add_argument("--out", required=True, help="results CSV (appended)")
@@ -180,15 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="full simulate/estimate/evaluate loops")
     p.add_argument("--graphon", required=True, help="comma-separated ids")
-    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--M", type=_int_arg, required=True)
     p.add_argument("--sizes", required=True, help="fixed:N or uniform:LO:HI")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_arg, default=20)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--method", action="append", choices=bench.METHODS, required=True,
                    help="repeatable; subset of " + ", ".join(bench.METHODS))
     p.add_argument("--k", type=_parse_k, default="auto")
     p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.add_argument("--res", type=int, default=1000)
+    p.add_argument("--res", type=_int_arg, default=1000)
     p.add_argument("--sweep", choices=("n", "M", "k"), default=None)
     p.add_argument("--values", default=None, help="comma-separated sweep values")
     p.add_argument("--out", required=True)

@@ -40,6 +40,13 @@ class StepEstimate:
         return self.values.shape[0]
 
 
+def _source_cells(k: int, resolution: int) -> np.ndarray:
+    """The source cell of each of ``resolution`` target midpoints on a
+    ``k``-cell step grid; the cells do not decrease."""
+    mids = (np.arange(resolution) + 0.5) / resolution
+    return np.minimum((mids * k).astype(np.int64), k - 1)
+
+
 def resample_grid(values: np.ndarray, resolution: int) -> np.ndarray:
     """Piecewise-constant resampling of a square step grid to resolution x resolution.
 
@@ -50,8 +57,7 @@ def resample_grid(values: np.ndarray, resolution: int) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     k = values.shape[0]
-    mids = (np.arange(resolution) + 0.5) / resolution
-    runs = np.bincount(np.minimum((mids * k).astype(np.int64), k - 1), minlength=k)
+    runs = np.bincount(_source_cells(k, resolution), minlength=k)
     return np.repeat(np.repeat(values, runs, axis=0), runs, axis=1)
 
 

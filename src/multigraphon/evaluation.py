@@ -11,12 +11,20 @@ import math
 
 import numpy as np
 
-from .estimates import StepEstimate, resample_grid
-from .graphons import Graphon, canonical_rearrangement, degree_function
+from .estimates import StepEstimate, _source_cells
+from .graphons import Graphon, canonical_rearrangement, check_grid, degree_function
 from .jgs import JointOrdering
 from .tv import _require_int
 
 __all__ = ["mise", "mae_latent", "eta_bound", "rank_discrepancy", "evaluate_estimate"]
+
+
+# cells of the squared-difference grid summed at once (512 KB of float64).
+# numpy sums a contiguous array pairwise: a range of more than 128 cells is
+# split at half its length rounded down to a multiple of 8, at every level.
+# Blocks that are nodes of that tree, each summed by np.add.reduce and added
+# back in tree order, give the float np.mean gives for the whole grid.
+_MISE_BLOCK_CELLS = 1 << 16
 
 
 def mise(estimate, truth: Graphon, resolution: int = 1000) -> float:
@@ -25,19 +33,58 @@ def mise(estimate, truth: Graphon, resolution: int = 1000) -> float:
     The truth is rearranged to its degree-increasing representative on a
     resolution x resolution midpoint grid; the estimate is resampled to the
     same grid piecewise-constantly; the result is the mean of the squared
-    cellwise differences.
+    cellwise differences. A raw array must pass the grid check of
+    ``StepEstimate`` values.
+
+    The grid of squared differences is never built whole: it is summed in
+    blocks of at most ``_MISE_BLOCK_CELLS`` cells split as numpy's pairwise
+    sum splits it, so the result equals ``np.mean`` of that grid bit for bit.
     """
-    values = estimate.values if isinstance(estimate, StepEstimate) else np.asarray(estimate, dtype=float)
+    if isinstance(estimate, StepEstimate):
+        values = estimate.values
+    else:
+        values = check_grid(estimate, "estimate values", "estimate values")
     k = values.shape[0]
     truth_k = truth.grid.shape[0] if truth.is_step else 1
     if resolution < max(k, truth_k):
         raise ValueError("resolution must be at least as fine as both grids")
     truth_grid = canonical_rearrangement(truth, resolution).grid
-    # the difference is squared in the resampled grid's own buffer
-    sq = resample_grid(values, resolution)
-    sq -= truth_grid
-    sq *= sq
-    return float(np.mean(sq))
+    cell = _source_cells(k, resolution)
+    # the estimate resampled along columns: grid row i is cols[cell[i]]. take
+    # returns C order (values[:, cell] is Fortran order, which each gather
+    # below would copy)
+    cols = values.take(cell, axis=1)
+    # a block starting at the end of a row touches at most this many rows
+    buf = np.empty((min(_MISE_BLOCK_CELLS // resolution + 2, resolution), resolution))
+    total = _tree_sum(cols, cell, truth_grid, buf, 0, resolution * resolution)
+    return float(total / resolution**2)
+
+
+def _tree_sum(cols, cell, truth_grid, buf, start, stop):
+    """Sum of the squared differences over the flat grid cells start:stop,
+    split where numpy's pairwise sum splits a range of that length."""
+    n = stop - start
+    if n <= _MISE_BLOCK_CELLS:
+        return _block_sum(cols, cell, truth_grid, buf, start, stop)
+    half = n // 2 - (n // 2) % 8
+    left = _tree_sum(cols, cell, truth_grid, buf, start, start + half)
+    return left + _tree_sum(cols, cell, truth_grid, buf, start + half, stop)
+
+
+def _block_sum(cols, cell, truth_grid, buf, start, stop):
+    """np.add.reduce of the squared differences over the flat grid cells
+    start:stop, after filling ``buf`` with the differences on the whole grid
+    rows they lie in."""
+    width = truth_grid.shape[1]
+    first, last = start // width, -(-stop // width)
+    rows = buf[:last - first]
+    # mode="clip" gathers straight into rows; the default mode gathers into
+    # a temporary first (the cells are in range, so nothing is clipped)
+    np.take(cols, cell[first:last], axis=0, out=rows, mode="clip")
+    np.subtract(rows, truth_grid[first:last], out=rows)
+    block = buf.reshape(-1)[start - first * width:stop - first * width]
+    block *= block
+    return np.add.reduce(block)
 
 
 def mae_latent(ordering: JointOrdering, truth, orientation: str = "direct") -> float:

@@ -566,6 +566,40 @@ class TestCliExitStatus:
         assert capsys.readouterr().err.endswith(
             f"error: argument --k: expected an integer >= 1 or 'auto', got '{k}'\n")
 
+    @pytest.mark.parametrize("command, option, text, message", [
+        ("simulate", "--M", "1_0", "argument --M: expected an integer, got '1_0'"),
+        ("simulate", "--sizes", "fixed:1_0", "bad size spec 'fixed:1_0'; expected fixed:N or uniform:LO:HI"),
+        ("simulate", "--seed", "+3", "argument --seed: expected an integer, got '+3'"),
+        ("simulate", "--graphon", " 1 ", "argument --graphon: expected an integer, got ' 1 '"),
+        ("benchmark", "--graphon", "1_0", "--graphon expects comma-separated integers, got '1_0'"),
+        ("benchmark", "--sizes", "uniform:+5:1_0",
+         "bad size spec 'uniform:+5:1_0'; expected fixed:N or uniform:LO:HI"),
+        ("benchmark", "--res", "2_0", "argument --res: expected an integer, got '2_0'"),
+        ("benchmark", "--trials", "\u0662", "argument --trials: expected an integer, got '\u0662'"),
+        ("benchmark", "--values", "6,1_0", "--values expects comma-separated integers, got '6,1_0'"),
+        ("evaluate", "--res", "\u0663\u0660", "argument --res: expected an integer, got '\u0663\u0660'"),
+    ], ids=["simulate-M", "simulate-sizes", "simulate-seed", "simulate-graphon", "benchmark-graphon",
+            "benchmark-sizes", "benchmark-res", "benchmark-trials", "benchmark-values", "evaluate-res"])
+    def test_integer_inputs_take_ascii_digits_only(self, tmp_path, capsys, command, option, text, message):
+        # int() took each of these: --M 1_0 wrote 10 graphs, --res \u0663\u0660 scored at R=30
+        est, out = tmp_path / "est.csv", tmp_path / "out"
+        est.write_text("0.5\n")
+        options = {
+            "simulate": {"--graphon": "1", "--M": "2", "--sizes": "fixed:5"},
+            "benchmark": {"--graphon": "1", "--M": "2", "--sizes": "fixed:6", "--trials": "1", "--res": "40",
+                          "--method": "jgs", "--sweep": "n", "--values": "6,8"},
+            "evaluate": {"--estimate": str(est), "--graphon": "1"},
+        }[command]
+        options.update({option: text, "--out": str(out)})
+        argv = [command] + [word for pair in options.items() for word in pair]
+        try:
+            status = main(argv)
+        except SystemExit as exit_info:
+            status = exit_info.code
+        assert status == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["empty-collection", "truncated-sidecar-estimate",
                                       "truncated-sidecar-mae", "ragged-estimate"])
     def test_input_file_error_names_the_file(self, tmp_path, capsys, case):

@@ -1,9 +1,10 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +19,18 @@ from multigraphon.evaluation import (
 )
 from multigraphon.graphons import ANALYTIC_IDS, Graphon, canonical_rearrangement, eval_grid
 from multigraphon.jgs import estimate_jgs, joint_sort, normalized_degrees
+
+
+@st.composite
+def symmetric_grids(draw):
+    k = draw(st.integers(1, 12))
+    upper = np.triu(draw(arrays(float, (k, k), elements=st.floats(0.0, 1.0))))
+    return upper + np.triu(upper, 1).T
+
+
+def random_symmetric(k):
+    upper = np.triu(np.random.default_rng(k).random((k, k)))
+    return upper + np.triu(upper, 1).T
 
 
 def ordering_from_degrees(degs):
@@ -52,20 +65,54 @@ class TestMise:
         assert abs(m12 - m24) < 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), gid=st.sampled_from(ANALYTIC_IDS))
-    def test_equals_resampled_squared_difference(self, data, gid):
-        # bit for bit, not approx: mise is this expression evaluated in one buffer
-        k = data.draw(st.integers(1, 12))
-        r = data.draw(st.integers(max(k, 2), 160))
-        upper = np.triu(data.draw(arrays(float, (k, k), elements=st.floats(0.0, 1.0))))
-        values = upper + np.triu(upper, 1).T
+    @given(gid=st.sampled_from(ANALYTIC_IDS), values=symmetric_grids(), r=st.integers(2, 160))
+    # resolutions above one block of 2**16 cells, from the least (257): blocks
+    # that start and end inside a row, r not a multiple of 8, primes (257,
+    # 1021, 1499) and the benchmarks' r=1000
+    @example(gid=1, values=random_symmetric(1), r=257)
+    @example(gid=2, values=random_symmetric(7), r=999)
+    @example(gid=7, values=random_symmetric(44), r=1000)
+    @example(gid=10, values=random_symmetric(30), r=1021)
+    @example(gid=12, values=random_symmetric(12), r=1024)
+    @example(gid=10, values=random_symmetric(3), r=1499)
+    @example(gid=1, values=random_symmetric(40), r=1500)
+    def test_equals_resampled_squared_difference(self, gid, values, r):
+        # bit for bit, not approx: mise sums the blocks where np.mean splits its sum
+        assume(r >= values.shape[0])
         truth = Graphon.analytic(gid)
         expected = float(np.mean((resample_grid(values, r) - canonical_rearrangement(truth, r).grid) ** 2))
         assert mise(values, truth, r) == expected
 
+    def test_scratch_memory_bounded(self):
+        # the full R x R difference grid alone is 8 MB at R=1000
+        truth = Graphon.analytic(10)
+        canonical_rearrangement(truth, 1000)  # the truth grid is cached, not scratch
+        values = np.full((44, 44), 0.5)
+        tracemalloc.start()
+        try:
+            mise(values, truth, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_resolution_precondition(self):
         with pytest.raises(ValueError):
             mise(np.zeros((10, 10)), Graphon.constant(0.1), 5)
+
+    @pytest.mark.parametrize("values, message", [
+        # the first returned nan, the next two raised numpy's broadcast
+        # error and the last numpy's AxisError
+        (np.full((3, 3), np.nan), "estimate values must be finite"),
+        (np.zeros((3, 4)), "estimate values must be a square matrix"),
+        (np.zeros((2, 2, 2)), "estimate values must be a square matrix"),
+        (np.zeros(3), "estimate values must be a square matrix"),
+        (np.array([[0.1, 0.2], [0.3, 0.4]]), "estimate values must be symmetric"),
+        (np.array([[1.5]]), "estimate values must lie in [0, 1]"),
+    ], ids=["nan", "3x4", "2x2x2", "1-d", "asymmetric", "above-one"])
+    def test_raw_array_is_grid_checked(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mise(values, Graphon.analytic(1), 10)
 
 
 class TestMaeLatent:
