@@ -4,61 +4,50 @@
 Each trial samples one collection and evaluates the same data at every k in
 the sweep, plus the automatic selection rule; identifiable kernels show a
 U-shaped error curve with a broad basin around the automatic choice.
+
+A preset of two ``multigraphon benchmark`` runs on the same collections:
+one over the ``--k-values`` list (rows to ``--out``) and one with
+``--k auto`` (rows to ``<stem>_auto<suffix>`` next to ``--out``), whose
+``k`` column gives the automatic choice. It exits with the worse of their
+statuses (1 if a row failed, 2 on bad input, which stops it before the
+second run).
 """
 import argparse
+import csv
+import sys
+from pathlib import Path
 
-import numpy as np
-
-from multigraphon.bench import (
-    ExperimentConfig,
-    SizeSpec,
-    estimate,
-    run_benchmark,
-    sample_cell,
-    write_results_csv,
-)
+from multigraphon import cli
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--graphon", type=int, default=1)
-    parser.add_argument("--M", type=int, default=50)
+    parser.add_argument("--graphon", default="1")
+    parser.add_argument("--M", default="50")
     parser.add_argument("--sizes", default="uniform:80:120")
     parser.add_argument("--k-values", default="4,8,16,24,32,48,64")
-    parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--res", type=int, default=1000)
+    parser.add_argument("--trials", default="5")
+    parser.add_argument("--seed", default="0")
+    parser.add_argument("--res", default="1000")
     parser.add_argument("--out", default="k_sensitivity.csv")
     args = parser.parse_args()
 
-    cfg = ExperimentConfig(
-        graphon_ids=(args.graphon,),
-        num_graphs=args.M,
-        sizes=SizeSpec.parse(args.sizes),
-        trials=args.trials,
-        seed=args.seed,
-        methods=("jgs",),
-        resolution=args.res,
-        sweep="k",
-        sweep_values=tuple(int(x) for x in args.k_values.split(",")),
-    )
-    records = run_benchmark(cfg)
-    write_results_csv(records, args.out)
-
-    by_k: dict[int, list[float]] = {}
-    for rec in records:
-        by_k.setdefault(rec.k, []).append(rec.mise)
-    print(f"{'k':>4} {'mean MISE x1e-3':>16}")
-    for k in sorted(by_k):
-        print(f"{k:>4} {np.mean(by_k[k]) * 1e3:>16.3f}")
-
-    auto_ks = []
-    for trial in range(args.trials):
-        coll, _, _ = sample_cell(args.seed, args.graphon, trial, cfg.sizes, args.M)
-        auto_ks.append(estimate("jgs", coll).params["k"])
-    print(f"automatic rule selects k = {sorted(set(auto_ks))}")
-    print(f"{len(records)} rows -> {args.out}")
+    out = Path(args.out)
+    auto_out = out.with_name(f"{out.stem}_auto{out.suffix}")
+    common = ["benchmark", "--graphon", args.graphon, "--M", args.M, "--sizes", args.sizes,
+              "--trials", args.trials, "--seed", args.seed, "--method", "jgs", "--res", args.res]
+    status = cli.main(common + ["--k", args.k_values, "--out", str(out)])
+    if status == 2:
+        return status
+    status = max(status, cli.main(common + ["--k", "auto", "--out", str(auto_out)]))
+    if status == 2:
+        return status
+    with open(auto_out, newline="") as fh:
+        chosen = {row["k"] for row in csv.DictReader(fh) if row["k"]}
+    # k is a count in ASCII digits: order by length, then by text
+    print(f"automatic rule selects k = [{', '.join(sorted(chosen, key=lambda k: (len(k), k)))}]")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

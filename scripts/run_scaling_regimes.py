@@ -5,61 +5,46 @@ Regime 1 fixes the number of graphs and grows every graph (consistency:
 MISE and latent MAE both head to zero). Regime 2 fixes the graph size and
 grows the number of graphs (MISE plateaus at a non-zero floor because
 per-node degree noise never shrinks). Emits one plot-ready CSV per regime.
+
+A preset of two ``multigraphon benchmark`` runs, one per regime; it exits
+with the worse of their statuses (1 if a row failed, 2 on bad input, which
+stops it before the second run).
 """
 import argparse
+import sys
 
-from multigraphon.bench import (
-    ExperimentConfig,
-    SizeSpec,
-    format_summary,
-    run_benchmark,
-    summarize,
-    write_results_csv,
-)
+from multigraphon import cli
 
 
-def sweep(axis, values, fixed, args):
-    cfg = ExperimentConfig(
-        graphon_ids=(args.graphon,),
-        num_graphs=fixed if axis == "n" else 1,
-        sizes=SizeSpec("fixed", n=fixed if axis == "M" else 1),
-        trials=args.trials,
-        seed=args.seed,
-        methods=("jgs",),
-        resolution=args.res,
-        sweep=axis,
-        sweep_values=tuple(values),
-    )
-    records = run_benchmark(cfg)
-    print(format_summary(summarize(records)))
-    return records
-
-
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--graphon", type=int, default=1)
-    parser.add_argument("--fixed-M", type=int, default=30)
+    parser.add_argument("--graphon", default="1")
+    parser.add_argument("--fixed-M", default="30")
     parser.add_argument("--n-values", default="30,100,300,1000")
-    parser.add_argument("--fixed-n", type=int, default=30)
+    parser.add_argument("--fixed-n", default="30")
     parser.add_argument("--M-values", default="10,30,100,300,1000")
-    parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--res", type=int, default=1000)
+    parser.add_argument("--trials", default="5")
+    parser.add_argument("--seed", default="0")
+    parser.add_argument("--res", default="1000")
     parser.add_argument("--out-prefix", default="scaling")
     args = parser.parse_args()
 
-    n_values = [int(x) for x in args.n_values.split(",")]
-    rows = sweep("n", n_values, args.fixed_M, args)
-    out_n = f"{args.out_prefix}_growing_n.csv"
-    write_results_csv(rows, out_n)
-    print(f"regime 1 (M={args.fixed_M} fixed): {len(rows)} rows -> {out_n}\n")
-
-    m_values = [int(x) for x in args.M_values.split(",")]
-    rows = sweep("M", m_values, args.fixed_n, args)
-    out_m = f"{args.out_prefix}_growing_M.csv"
-    write_results_csv(rows, out_m)
-    print(f"regime 2 (n={args.fixed_n} fixed): {len(rows)} rows -> {out_m}")
+    common = ["benchmark", "--graphon", args.graphon, "--trials", args.trials, "--seed", args.seed,
+              "--method", "jgs", "--res", args.res]
+    regimes = [
+        (f"regime 1 (M={args.fixed_M} fixed)", "growing_n",
+         ["--M", args.fixed_M, "--sizes", ",".join(f"fixed:{n}" for n in args.n_values.split(","))]),
+        (f"regime 2 (n={args.fixed_n} fixed)", "growing_M",
+         ["--M", args.M_values, "--sizes", f"fixed:{args.fixed_n}"]),
+    ]
+    status = 0
+    for title, name, axis in regimes:
+        print(title)
+        status = max(status, cli.main(common + axis + ["--out", f"{args.out_prefix}_{name}.csv"]))
+        if status == 2:
+            break
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,7 @@ reproduce identical result rows byte for byte (timing column aside).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -115,8 +115,6 @@ class ExperimentConfig:
     k: int | str = "auto"
     lam: float = 0.05
     resolution: int = 1000
-    sweep: str | None = None
-    sweep_values: tuple[int, ...] = ()
 
     def __post_init__(self):
         # every bad value fails here, before any cell runs
@@ -125,7 +123,6 @@ class ExperimentConfig:
         _require_int("seed", self.seed, least=0)
         _require_int("resolution", self.resolution)
         _check_k(self.k)
-        _require_int("sweep value", *self.sweep_values)
         if not self.graphon_ids:
             raise ValueError("need at least one graphon id")
         for gid in self.graphon_ids:
@@ -136,20 +133,8 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if self.sweep is not None:
-            if self.sweep not in ("n", "M", "k"):
-                raise ValueError("sweep must be one of n, M, k")
-            if not self.sweep_values:
-                raise ValueError("sweep requires at least one value")
-            # a pooled baseline ignores k: a k sweep would score its collection once per value
-            pooled = [m for m in self.methods if m not in JGS_METHODS]
-            if self.sweep == "k" and pooled:
-                raise ValueError(f"a k sweep does not apply to method {pooled[0]!r}, which takes no k")
-        elif self.sweep_values:
-            raise ValueError(f"sweep values {list(self.sweep_values)} given without a sweep")
         # a repeated entry would run its cells twice and count them twice in the summary
-        for name, values in (("graphon id", self.graphon_ids), ("method", self.methods),
-                             ("sweep value", self.sweep_values)):
+        for name, values in (("graphon id", self.graphon_ids), ("method", self.methods)):
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"{name} {value!r} given more than once")
@@ -225,30 +210,18 @@ def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: flo
     raise ValueError(f"unknown method {method!r}")
 
 
-def _cell_config(cfg: ExperimentConfig, sweep_value: int | None) -> tuple[ExperimentConfig, int | str]:
-    """Apply one sweep value; returns the adjusted config and k to use."""
-    if sweep_value is None:
-        return cfg, cfg.k
-    if cfg.sweep == "n":
-        return replace(cfg, sizes=SizeSpec("fixed", n=sweep_value)), cfg.k
-    if cfg.sweep == "M":
-        return replace(cfg, num_graphs=sweep_value), cfg.k
-    return cfg, sweep_value  # k-sweep: same collection, different block count
-
-
-def _run_cell(cfg: ExperimentConfig, graphon_id: int, sweep_value: int | None, trial: int) -> list[ResultRecord]:
-    """All methods for one (graphon, sweep value, trial): simulate once, then
-    estimate and evaluate per method."""
-    cell_cfg, k = _cell_config(cfg, sweep_value)
-    coll, latent, sub = sample_cell(cfg.seed, graphon_id, trial, cell_cfg.sizes, cell_cfg.num_graphs)
+def _run_cell(cfg: ExperimentConfig, graphon_id: int, trial: int) -> list[ResultRecord]:
+    """All methods for one (graphon, trial): simulate once, then estimate
+    and evaluate per method."""
+    coll, latent, sub = sample_cell(cfg.seed, graphon_id, trial, cfg.sizes, cfg.num_graphs)
     spec = Graphon.analytic(graphon_id)
-    row = partial(ResultRecord, graphon_id=graphon_id, num_graphs=cell_cfg.num_graphs,
-                  size_label=cell_cfg.sizes.label(), seed=sub)
+    row = partial(ResultRecord, graphon_id=graphon_id, num_graphs=cfg.num_graphs,
+                  size_label=cfg.sizes.label(), seed=sub)
     records = []
     ordering = None  # the joint ordering MAE scores; shared by the jgs methods
     for method in cfg.methods:
         try:
-            est = estimate(method, coll, k, cfg.lam)
+            est = estimate(method, coll, cfg.k, cfg.lam)
             is_jgs = method in JGS_METHODS
             if is_jgs and ordering is None:
                 ordering = joint_sort(normalized_degrees(coll))
@@ -262,20 +235,11 @@ def _run_cell(cfg: ExperimentConfig, graphon_id: int, sweep_value: int | None, t
     return records
 
 
-def _cells(cfg: ExperimentConfig):
-    sweep_values = cfg.sweep_values if cfg.sweep else (None,)
-    for gid in cfg.graphon_ids:
-        for sv in sweep_values:
-            for trial in range(cfg.trials):
-                yield gid, sv, trial
-
-
 def run_benchmark(cfg: ExperimentConfig) -> list[ResultRecord]:
-    """Run every (graphon x sweep value x trial x method) cell, serially in
-    one process, returning the rows in (graphon, sweep value, trial,
-    method) order.
+    """Run every (graphon x trial x method) cell, serially in one process,
+    returning the rows in (graphon, trial, method) order.
     """
-    return [rec for g, s, t in _cells(cfg) for rec in _run_cell(cfg, g, s, t)]
+    return [rec for g in cfg.graphon_ids for t in range(cfg.trials) for rec in _run_cell(cfg, g, t)]
 
 
 def write_results_csv(records, path) -> None:
@@ -289,9 +253,9 @@ def write_results_csv(records, path) -> None:
 def summarize(records) -> list[dict]:
     """Mean and standard deviation per (graphon, M, sizes, method) group.
 
-    In a run that scores a collection more than once within a group (a k
-    sweep does, once per k value), groups are split by ``k`` and each row
-    carries its ``k``. The summary view reports MISE scaled by 10^3 (raw
+    In a run that scores a collection more than once within a group (a
+    ``--k`` list does, once per k value), groups are split by ``k`` and each
+    row carries its ``k``. The summary view reports MISE scaled by 10^3 (raw
     rows keep unscaled values); groups follow first-appearance order.
     """
     scored = [r for r in records if r.mise is not None]

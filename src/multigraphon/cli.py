@@ -23,11 +23,21 @@ from .jgs import joint_sort, normalized_degrees, smooth_estimate
 from .tv import TvParams
 
 
-def _int_list(text: str, option: str) -> tuple[int, ...]:
-    try:
-        return tuple(_parse_int(x) for x in text.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"{option} expects comma-separated integers, got {text!r}") from None
+def _comma_list(text: str, option: str, parse) -> list:
+    """The entries of the comma-separated list ``text``, each read by
+    ``parse``. An entry ``parse`` refuses (so also an empty entry or one
+    with spaces) or an entry given twice is a ValueError naming the option
+    and the text as written."""
+    values = []
+    for entry in text.split(","):
+        try:
+            value = parse(entry)
+        except ValueError as exc:
+            raise ValueError(f"{option} {text!r}: {exc}") from None
+        if value in values:
+            raise ValueError(f"{option} {text!r}: {entry!r} given more than once")
+        values.append(value)
+    return values
 
 
 def _int_arg(text: str) -> int:
@@ -37,16 +47,20 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_k(text: str):
+def _block_count(text: str) -> int:
     # no sign: "-3" is refused here, while "0" reaches the range check
+    if text.startswith("-") or not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _parse_k(text: str):
     if text == "auto":
         return text
     try:
-        if not text.startswith("-"):
-            return _parse_int(text)
+        return _block_count(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {text!r}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -125,20 +139,20 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = ExperimentConfig(
-        graphon_ids=_int_list(args.graphon, "--graphon"),
-        num_graphs=args.M,
-        sizes=SizeSpec.parse(args.sizes),
-        trials=args.trials,
-        seed=args.seed,
-        methods=tuple(args.method),
-        k=args.k,
-        lam=args.lam,
-        resolution=args.res,
-        sweep=args.sweep,
-        sweep_values=_int_list(args.values, "--values") if args.values else (),
-    )
-    records = bench.run_benchmark(cfg)
+    """One config per (graphon, M, sizes, k), in that nesting order, all
+    built and checked before any work; their rows are concatenated."""
+    graphons = _comma_list(args.graphon, "--graphon", _parse_int)
+    counts = _comma_list(args.M, "--M", _parse_int)
+    sizes = _comma_list(args.sizes, "--sizes", SizeSpec.parse)
+    ks = ["auto"] if args.k == "auto" else _comma_list(args.k, "--k", _block_count)
+    # a pooled baseline takes no k: a --k list would score its collection once per value
+    pooled = [m for m in args.method if m not in bench.JGS_METHODS]
+    if len(ks) > 1 and pooled:
+        raise ValueError(f"a --k list does not apply to method {pooled[0]!r}, which takes no k")
+    configs = [ExperimentConfig(graphon_ids=(gid,), num_graphs=m, sizes=spec, trials=args.trials, seed=args.seed,
+                                methods=tuple(args.method), k=k, lam=args.lam, resolution=args.res)
+               for gid in graphons for m in counts for spec in sizes for k in ks]
+    records = [rec for cfg in configs for rec in bench.run_benchmark(cfg)]
     bench.write_results_csv(records, args.out)
     failures = [r for r in records if r.error]
     for r in failures:
@@ -190,17 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="full simulate/estimate/evaluate loops")
     p.add_argument("--graphon", required=True, help="comma-separated ids")
-    p.add_argument("--M", type=_int_arg, required=True)
-    p.add_argument("--sizes", required=True, help="fixed:N or uniform:LO:HI")
+    p.add_argument("--M", required=True, help="comma-separated graph counts")
+    p.add_argument("--sizes", required=True, help="comma-separated fixed:N or uniform:LO:HI")
     p.add_argument("--trials", type=_int_arg, default=20)
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--method", action="append", choices=bench.METHODS, required=True,
                    help="repeatable; subset of " + ", ".join(bench.METHODS))
-    p.add_argument("--k", type=_parse_k, default="auto")
+    p.add_argument("--k", default="auto", help="'auto' or comma-separated block counts")
     p.add_argument("--lambda", dest="lam", type=float, default=0.05)
     p.add_argument("--res", type=_int_arg, default=1000)
-    p.add_argument("--sweep", choices=("n", "M", "k"), default=None)
-    p.add_argument("--values", default=None, help="comma-separated sweep values")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
     return parser

@@ -133,10 +133,6 @@ class Graphon:
     def step(cls, grid) -> "Graphon":
         return cls(grid=np.asarray(grid, dtype=float))
 
-    @classmethod
-    def constant(cls, p: float) -> "Graphon":
-        return cls.step([[p]])
-
     @property
     def is_step(self) -> bool:
         return self.grid is not None

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import os
 import re
@@ -34,6 +37,31 @@ def strip_timing(rows):
     header = rows[0]
     idx = header.index("seconds")
     return [[c for i, c in enumerate(r) if i != idx] for r in rows]
+
+
+def benchmark_refuses(tmp_path, capsys, monkeypatch, args, message):
+    """``benchmark`` with ``args`` on a small base exits 2 with the one line
+    ``message``, before any config runs and without writing its rows."""
+    def refuse(cfg):
+        raise AssertionError("benchmark work started")
+
+    monkeypatch.setattr("multigraphon.bench.run_benchmark", refuse)
+    out = tmp_path / "rows.csv"
+    argv = ["benchmark", "--M", "2", "--trials", "1", "--method", "jgs", "--res", "40",
+            "--out", str(out)] + args
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+    assert not out.exists()
+
+
+def run_benchmark_cli(tmp_path, *args):
+    """The rows ``benchmark`` writes for ``args`` (header first) and what it
+    prints, after checking that it exits 0."""
+    out = tmp_path / "rows.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["benchmark", *args, "--out", str(out)]) == 0
+    return read_rows(out), stdout.getvalue()
 
 
 class TestSizeSpec:
@@ -99,19 +127,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(**self.base(trials=0))
 
-    def test_sweep_needs_values(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(**self.base(sweep="n"))
-
-    def test_values_need_a_sweep(self):
-        with pytest.raises(ValueError, match=re.escape("sweep values [10, 20] given without a sweep")):
-            ExperimentConfig(**self.base(sweep_values=(10, 20)))
+    def test_sweep_needs_values(self, tmp_path, capsys, monkeypatch):
+        # a list option needs at least one entry
+        benchmark_refuses(tmp_path, capsys, monkeypatch, ["--graphon", "1", "--sizes", "fixed:6", "--M", ""],
+                          "--M '': expected an integer, got ''")
 
     @pytest.mark.parametrize("fields, message", [
         (dict(graphon_ids=(1, 4, 1)), "graphon id 1 given more than once"),
         (dict(methods=("jgs", "sas-pool", "jgs")), "method 'jgs' given more than once"),
-        (dict(sweep="n", sweep_values=(10, 10)), "sweep value 10 given more than once"),
-    ], ids=["graphon", "method", "sweep-value"])
+    ], ids=["graphon", "method"])
     def test_repeated_entries_rejected(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**self.base(**fields))
@@ -136,22 +160,34 @@ class TestConfigValidation:
             ExperimentConfig(**self.base(**{field: value}))
 
     @pytest.mark.parametrize("sweep, values", [("k", (0, 2)), ("n", (6, 0)), ("M", (2, -1))])
-    def test_bad_sweep_value_rejected_before_any_cell(self, sweep, values):
-        bad = min(values)
-        with pytest.raises(ValueError, match=f"^sweep value must be an integer >= 1, got {bad}$"):
-            ExperimentConfig(**self.base(sweep=sweep, sweep_values=values))
+    def test_bad_sweep_value_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch, sweep, values):
+        # a bad entry of a --k, --sizes or --M list stops the run before its first config
+        option = {"k": "--k", "n": "--sizes", "M": "--M"}[sweep]
+        text = ",".join(f"fixed:{v}" if sweep == "n" else str(v) for v in values)
+        message = {
+            "k": "k must be an integer >= 1, got 0",
+            "n": "--sizes 'fixed:6,fixed:0': fixed size n must be an integer >= 1, got 0",
+            "M": "M must be an integer >= 1, got -1",
+        }[sweep]
+        benchmark_refuses(tmp_path, capsys, monkeypatch, ["--graphon", "1", "--sizes", "fixed:6", option, text],
+                          message)
 
     @pytest.mark.parametrize("method", ["sas-pool", "usvt-pool"])
-    def test_k_sweep_with_pooled_baseline_rejected(self, method):
+    def test_k_sweep_with_pooled_baseline_rejected(self, tmp_path, capsys, monkeypatch, method):
         # a pooled baseline takes no k: a k sweep used to score its collection
         # once per k value, writing identical rows counted as extra trials
-        with pytest.raises(ValueError, match=f"^a k sweep does not apply to method '{method}', which takes no k$"):
-            ExperimentConfig(**self.base(methods=("jgs", method), sweep="k", sweep_values=(2, 8)))
-        ExperimentConfig(**self.base(methods=("jgs", method), sweep="n", sweep_values=(6, 8)))
+        args = ["--graphon", "1", "--method", method]
+        benchmark_refuses(tmp_path, capsys, monkeypatch, args + ["--sizes", "fixed:6", "--k", "2,8"],
+                          f"a --k list does not apply to method '{method}', which takes no k")
+        configs = []
+        monkeypatch.setattr("multigraphon.bench.run_benchmark", lambda cfg: configs.append(cfg) or [])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["benchmark", "--M", "2", "--out", str(tmp_path / "rows.csv")]
+                        + args + ["--sizes", "fixed:6,fixed:8", "--k", "5"]) == 0
+        assert [(cfg.sizes.label(), cfg.k) for cfg in configs] == [("fixed:6", 5), ("fixed:8", 5)]
 
     def test_good_values_accepted(self):
-        ExperimentConfig(**self.base(k=np.int64(3), seed=0, resolution=1,
-                                     sweep="k", sweep_values=(1, 2)))
+        ExperimentConfig(**self.base(k=np.int64(3), seed=0, resolution=1))
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
     def test_bad_lambda_rejected_before_any_cell(self, lam):
@@ -198,28 +234,38 @@ class TestBenchmark:
             else:
                 assert r.mae is None
 
-    def test_n_sweep_rows(self):
-        cfg = self.small_cfg(graphon_ids=(1,), sweep="n", sweep_values=(5, 9), trials=2)
-        records = run_benchmark(cfg)
-        assert len(records) == 2 * 2 * 2
-        labels = {r.size_label for r in records}
-        assert labels == {"fixed:5", "fixed:9"}
+    # small_cfg(graphon_ids=(1,)) as benchmark options; a later --M, --sizes or --trials overrides
+    SMALL = ["--graphon", "1", "--M", "3", "--sizes", "uniform:6:12", "--trials", "2", "--seed", "5",
+             "--res", "100"]
+    BOTH = ["--method", "jgs", "--method", "jgs-smooth"]
 
-    def test_m_sweep_changes_graph_count(self):
-        cfg = self.small_cfg(graphon_ids=(1,), sweep="M", sweep_values=(2, 4), trials=1)
-        records = run_benchmark(cfg)
-        assert sorted({r.num_graphs for r in records}) == [2, 4]
+    def test_n_sweep_rows(self, tmp_path):
+        rows, _ = run_benchmark_cli(tmp_path, *self.SMALL, *self.BOTH, "--sizes", "fixed:5,fixed:9")
+        assert len(rows) == 1 + 2 * 2 * 2
+        assert [r[2] for r in rows[1:]] == ["fixed:5"] * 4 + ["fixed:9"] * 4
 
-    def test_k_sweep_shares_collection(self):
-        cfg = self.small_cfg(graphon_ids=(1,), methods=("jgs",), sweep="k", sweep_values=(1, 2, 3), trials=1)
-        records = run_benchmark(cfg)
-        assert len(records) == 3
-        assert len({r.seed for r in records}) == 1  # same data, different k
-        assert [r.k for r in records] == [1, 2, 3]
+    def test_sizes_list_is_one_config_per_spec(self, tmp_path):
+        # fixed and uniform specs mix; each spec's rows are those of its config run alone
+        rows, _ = run_benchmark_cli(tmp_path, *self.SMALL, *self.BOTH, "--sizes", "fixed:7,uniform:6:12")
+        records = [rec for sizes in (SizeSpec("fixed", n=7), SizeSpec("uniform", lo=6, hi=12))
+                   for rec in run_benchmark(self.small_cfg(graphon_ids=(1,), sizes=sizes))]
+        assert strip_timing(rows) == strip_timing([rows[0]] + [r.row() for r in records])
+        assert len({r.seed for r in records}) == 2  # each trial draws the same seed for both specs
 
-    def test_k_sweep_summary_keeps_k_values_apart(self):
-        cfg = self.small_cfg(graphon_ids=(1,), methods=("jgs",), sweep="k", sweep_values=(2, 8), trials=2)
-        records = run_benchmark(cfg)
+    def test_m_sweep_changes_graph_count(self, tmp_path):
+        rows, _ = run_benchmark_cli(tmp_path, *self.SMALL, *self.BOTH, "--M", "2,4", "--trials", "1")
+        assert [r[1] for r in rows[1:]] == ["2", "2", "4", "4"]
+
+    def test_k_sweep_shares_collection(self, tmp_path):
+        rows, _ = run_benchmark_cli(tmp_path, *self.SMALL, "--method", "jgs", "--trials", "1", "--k", "1,2,3")
+        assert len(rows) == 1 + 3
+        assert len({r[3] for r in rows[1:]}) == 1  # same data, different k
+        assert [r[4] for r in rows[1:]] == ["1", "2", "3"]
+
+    def test_k_sweep_summary_keeps_k_values_apart(self, tmp_path):
+        rows, printed = run_benchmark_cli(tmp_path, *self.SMALL, "--method", "jgs", "--k", "2,8")
+        records = [rec for k in (2, 8) for rec in run_benchmark(self.small_cfg(graphon_ids=(1,), methods=("jgs",), k=k))]
+        assert strip_timing(rows) == strip_timing([rows[0]] + [r.row() for r in records])
         summary = summarize(records)
         assert [(row["k"], row["trials"]) for row in summary] == [(2, 2), (8, 2)]
         for row in summary:
@@ -227,6 +273,9 @@ class TestBenchmark:
         assert summary[0]["mise_mean_x1e3"] != summary[1]["mise_mean_x1e3"]
         table = format_summary(summary).splitlines()
         assert table[0].split()[4] == "k" and [line.split()[4] for line in table[2:]] == ["2", "8"]
+        # the printed table is this one, but for the timing column
+        assert ([line.rsplit(maxsplit=1)[0] for line in printed.splitlines()[:-1]]
+                == [line.rsplit(maxsplit=1)[0] for line in table])
 
     def test_summary_groups(self):
         records = run_benchmark(self.small_cfg())
@@ -251,6 +300,45 @@ class TestBenchmark:
     def test_subseed_is_stable(self):
         assert collection_seed(1, 2, 3) == collection_seed(1, 2, 3)
         assert collection_seed(1, 2, 3) != collection_seed(1, 2, 4)
+
+
+class TestListGolden:
+    """Each list form writes the rows, and prints the summary, of the
+    ``--sweep``/``--values`` form it replaces.
+
+    The digests were recorded at commit 29422cd, the last with ``--sweep``,
+    by running ``multigraphon benchmark --graphon 1,10 --trials 2 --seed 3
+    --res 50 --M 3 --sizes fixed:6`` plus the methods below and
+    ``--sweep n --values 5,9`` (sizes), ``--sweep M --values 2,4`` (M) or
+    ``--sweep k --values 1,2,3`` (k), and hashing its output as
+    :meth:`digest` does: the rows CSV without its ``seconds`` column, then
+    the printed summary without its ``sec`` column and the last line without
+    the output path.
+    """
+
+    BASE = ["--graphon", "1,10", "--trials", "2", "--seed", "3", "--res", "50"]
+
+    @staticmethod
+    def digest(rows, printed):
+        h = hashlib.sha256()
+        for row in strip_timing(rows):
+            h.update((",".join(row) + "\n").encode())
+        lines = printed.splitlines()
+        for line in lines[:-1]:
+            h.update((line.rsplit(maxsplit=1)[0] + "\n").encode())
+        h.update(lines[-1].split(" -> ")[0].encode())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("args, methods, digest", [
+        (["--M", "3", "--sizes", "fixed:5,fixed:9"], ("jgs", "jgs-smooth", "sas-pool"), "2e13e3fdca5aaae8"),
+        (["--M", "2,4", "--sizes", "fixed:6"], ("jgs", "jgs-smooth", "sas-pool"), "40b6b087c4bccbc6"),
+        (["--M", "3", "--sizes", "fixed:6", "--k", "1,2,3"], ("jgs", "jgs-smooth"), "45f767e127fcbe3d"),
+    ], ids=["sizes", "M", "k"])
+    def test_list_form_matches_sweep_form(self, tmp_path, args, methods, digest):
+        rows, printed = run_benchmark_cli(tmp_path, *self.BASE, *args,
+                                          *(word for m in methods for word in ("--method", m)))
+        assert len(rows) == 1 + 24  # graphons x values x trials x methods, on every axis
+        assert self.digest(rows, printed) == digest
 
 
 class TestCli:
@@ -444,7 +532,7 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         main(["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:12",
               "--trials", "1", "--seed", "4", "--method", "jgs", "--res", "60",
-              "--sweep", "k", "--values", "1,2", "--out", str(out)])
+              "--k", "1,2", "--out", str(out)])
         rows = read_rows(out)
         assert len(rows) == 1 + 2
         assert [r[4] for r in rows[1:]] == ["1", "2"]
@@ -475,46 +563,50 @@ class TestCli:
 class TestCliExitStatus:
     @pytest.mark.parametrize("args, message", [
         (["--graphon", "1", "--sizes", "bogus"],
-         "bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
+         "--sizes 'bogus': bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
         (["--graphon", "1,99", "--sizes", "fixed:6"], "unknown analytic graphon id 99"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "x,y"],
-         "--values expects comma-separated integers, got 'x,y'"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--M", "x,y"],
+         "--M 'x,y': expected an integer, got 'x'"),
         (["--graphon", "1", "--sizes", "fixed:6", "--res", "0"],
          "resolution must be an integer >= 1, got 0"),
         (["--graphon", "1", "--sizes", "fixed:6", "--k", "0"], "k must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "k", "--values", "0,2"],
-         "sweep value must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "6,0"],
-         "sweep value must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "M", "--values", "2,0"],
-         "sweep value must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--method", "sas-pool", "--sweep", "k", "--values", "2,8"],
-         "a k sweep does not apply to method 'sas-pool', which takes no k"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--k", "0,2"],
+         "k must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6,fixed:0"],
+         "--sizes 'fixed:6,fixed:0': fixed size n must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--M", "2,0"],
+         "M must be an integer >= 1, got 0"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--method", "sas-pool", "--k", "2,8"],
+         "a --k list does not apply to method 'sas-pool', which takes no k"),
         (["--graphon", "1", "--sizes", "fixed:6", "--seed", "-1"],
          "seed must be an integer >= 0, got -1"),
         (["--graphon", "1", "--sizes", "fixed:6", "--M", "0"], "M must be an integer >= 1, got 0"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--values", "10,20"],
-         "sweep values [10, 20] given without a sweep"),
-        (["--graphon", "1,1", "--sizes", "fixed:6"], "graphon id 1 given more than once"),
+        (["--graphon", "1,1", "--sizes", "fixed:6"], "--graphon '1,1': '1' given more than once"),
         (["--graphon", "1", "--sizes", "fixed:6", "--method", "jgs"],
          "method 'jgs' given more than once"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--sweep", "n", "--values", "10,10"],
-         "sweep value 10 given more than once"),
+        (["--graphon", "1", "--sizes", "fixed:10,fixed:10"],
+         "--sizes 'fixed:10,fixed:10': 'fixed:10' given more than once"),
+        # every list option refuses empty entries, spaces and repeats; "1,,4" used to run 1 and 4
+        (["--graphon", ",1,,", "--sizes", "fixed:6"], "--graphon ',1,,': expected an integer, got ''"),
+        (["--graphon", "1, 4", "--sizes", "fixed:6"], "--graphon '1, 4': expected an integer, got ' 4'"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--M", "5 ,, 6"], "--M '5 ,, 6': expected an integer, got '5 '"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--M", "2,02"], "--M '2,02': '02' given more than once"),
+        (["--graphon", "1", "--sizes", "fixed:6,"],
+         "--sizes 'fixed:6,': bad size spec ''; expected fixed:N or uniform:LO:HI"),
+        (["--graphon", "1", "--sizes", "fixed:6, uniform:2:3"],
+         "--sizes 'fixed:6, uniform:2:3': bad size spec ' uniform:2:3'; expected fixed:N or uniform:LO:HI"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--k", "2,,3"], "--k '2,,3': expected an integer >= 1, got ''"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--k", "3,3"], "--k '3,3': '3' given more than once"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--k", "auto,3"],
+         "--k 'auto,3': expected an integer >= 1, got 'auto'"),
     ], ids=["sizes", "graphon", "values", "res", "k", "sweep-k", "sweep-n", "sweep-M",
-            "sweep-k-pooled", "seed", "M", "values-without-sweep", "repeated-graphon", "repeated-method",
-            "repeated-sweep-value"])
+            "sweep-k-pooled", "seed", "M", "repeated-graphon", "repeated-method",
+            "repeated-sweep-value", "graphon-empty-entries", "graphon-space", "M-spaces-and-empty",
+            "repeated-M", "sizes-empty-entry", "sizes-space", "k-empty-entry", "repeated-k",
+            "k-auto-and-list"])
     def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      args, message):
-        def refuse(cfg):
-            raise AssertionError("benchmark work started")
-
-        monkeypatch.setattr("multigraphon.bench.run_benchmark", refuse)
-        out = tmp_path / "rows.csv"
-        argv = ["benchmark", "--M", "2", "--trials", "1", "--method", "jgs", "--res", "40",
-                "--out", str(out)] + args
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
-        assert not out.exists()
+        benchmark_refuses(tmp_path, capsys, monkeypatch, args, message)
 
     @pytest.mark.parametrize("method", ["jgs", "usvt-pool", "sas-pool"])
     @pytest.mark.parametrize("args, message", [
@@ -551,32 +643,49 @@ class TestCliExitStatus:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --pool-res 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [("--sweep", "n"), ("--values", "6,8")])
+    def test_sweep_options_are_gone(self, tmp_path, capsys, option, value):
+        # --sweep replaced --sizes, --M or --k without a word; the lists now live in those options
+        argv = ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:6", "--method", "jgs",
+                option, value, "--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["estimate", "benchmark"])
     @pytest.mark.parametrize("k", ["2.5", "abc", "1_0", " 3 ", "+3", "-3", "\u0663", ""])
     def test_bad_k_says_what_k_accepts(self, tmp_path, capsys, command, k):
-        # the message used to name the parser's private function, _parse_k
+        # the message used to name the parser's private function, _parse_k;
+        # benchmark's --k is a list, so its own line names the list as written
         argv = {
             "estimate": ["estimate", "--collection", str(tmp_path / "c.jsonl"), "--method", "jgs"],
             "benchmark": ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:6",
                           "--method", "jgs"],
         }[command] + ["--k", k, "--out", str(tmp_path / "out.csv")]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            f"error: argument --k: expected an integer >= 1 or 'auto', got '{k}'\n")
+        if command == "estimate":
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"error: argument --k: expected an integer >= 1 or 'auto', got '{k}'\n")
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"multigraphon: error: --k '{k}': expected an integer >= 1, got '{k}'\n")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command, option, text, message", [
         ("simulate", "--M", "1_0", "argument --M: expected an integer, got '1_0'"),
         ("simulate", "--sizes", "fixed:1_0", "bad size spec 'fixed:1_0'; expected fixed:N or uniform:LO:HI"),
         ("simulate", "--seed", "+3", "argument --seed: expected an integer, got '+3'"),
         ("simulate", "--graphon", " 1 ", "argument --graphon: expected an integer, got ' 1 '"),
-        ("benchmark", "--graphon", "1_0", "--graphon expects comma-separated integers, got '1_0'"),
+        ("benchmark", "--graphon", "1_0", "--graphon '1_0': expected an integer, got '1_0'"),
         ("benchmark", "--sizes", "uniform:+5:1_0",
-         "bad size spec 'uniform:+5:1_0'; expected fixed:N or uniform:LO:HI"),
+         "--sizes 'uniform:+5:1_0': bad size spec 'uniform:+5:1_0'; expected fixed:N or uniform:LO:HI"),
         ("benchmark", "--res", "2_0", "argument --res: expected an integer, got '2_0'"),
         ("benchmark", "--trials", "\u0662", "argument --trials: expected an integer, got '\u0662'"),
-        ("benchmark", "--values", "6,1_0", "--values expects comma-separated integers, got '6,1_0'"),
+        ("benchmark", "--M", "6,1_0", "--M '6,1_0': expected an integer, got '1_0'"),
         ("evaluate", "--res", "\u0663\u0660", "argument --res: expected an integer, got '\u0663\u0660'"),
     ], ids=["simulate-M", "simulate-sizes", "simulate-seed", "simulate-graphon", "benchmark-graphon",
             "benchmark-sizes", "benchmark-res", "benchmark-trials", "benchmark-values", "evaluate-res"])
@@ -587,7 +696,7 @@ class TestCliExitStatus:
         options = {
             "simulate": {"--graphon": "1", "--M": "2", "--sizes": "fixed:5"},
             "benchmark": {"--graphon": "1", "--M": "2", "--sizes": "fixed:6", "--trials": "1", "--res": "40",
-                          "--method": "jgs", "--sweep": "n", "--values": "6,8"},
+                          "--method": "jgs"},
             "evaluate": {"--estimate": str(est), "--graphon": "1"},
         }[command]
         options.update({option: text, "--out": str(out)})

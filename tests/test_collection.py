@@ -77,16 +77,16 @@ class TestGraphValidation:
 
 class TestSampling:
     def test_all_one_gives_complete_graph(self):
-        coll, _ = sample_collection(Graphon.constant(1.0), [4], seed=0)
+        coll, _ = sample_collection(Graphon.step([[1.0]]), [4], seed=0)
         assert coll.graphs[0].edge_count == 6
 
     def test_all_zero_gives_empty_graph(self):
-        coll, _ = sample_collection(Graphon.constant(0.0), [4], seed=0)
+        coll, _ = sample_collection(Graphon.step([[0.0]]), [4], seed=0)
         assert coll.graphs[0].edge_count == 0
 
     def test_half_density_concentrates(self):
         # direct edge count as the oracle: density of W=1/2 on n=2000
-        coll, _ = sample_collection(Graphon.constant(0.5), [2000], seed=3)
+        coll, _ = sample_collection(Graphon.step([[0.5]]), [2000], seed=3)
         density = coll.graphs[0].edge_count / (2000 * 1999 / 2)
         assert 0.47 <= density <= 0.53
 
@@ -457,11 +457,11 @@ class TestBulkReader:
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=30),
         seed=st.integers(min_value=0, max_value=2**32),
-        spec=st.sampled_from([Graphon.constant(0.0), Graphon.constant(1.0),
+        spec=st.sampled_from([Graphon.step([[0.0]]), Graphon.step([[1.0]]),
                               Graphon.analytic(1), Graphon.analytic(10)]),
     )
-    @example(sizes=[1], seed=0, spec=Graphon.constant(1.0))
-    @example(sizes=[1, 5, 1, 2], seed=3, spec=Graphon.constant(0.0))
+    @example(sizes=[1], seed=0, spec=Graphon.step([[1.0]]))
+    @example(sizes=[1, 5, 1, 2], seed=3, spec=Graphon.step([[0.0]]))
     def test_saved_files_match_line_by_line(self, tmp_path_factory, sizes, seed, spec):
         sampled, _ = sample_collection(spec, sizes, seed)
         path = tmp_path_factory.mktemp("bulk") / "c.jsonl"
@@ -526,15 +526,15 @@ class TestFlatLayout:
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
         seed=st.integers(min_value=0, max_value=2**32),
-        spec=st.sampled_from([Graphon.constant(0.0), Graphon.constant(1.0),
+        spec=st.sampled_from([Graphon.step([[0.0]]), Graphon.step([[1.0]]),
                               Graphon.analytic(1), Graphon.analytic(10)]),
         extra_k=st.integers(min_value=-6, max_value=3),
     )
     # M = 1 with a singleton and k > N; identical complete graphs around a
     # singleton; edgeless graphs
-    @example(sizes=[1], seed=0, spec=Graphon.constant(0.0), extra_k=2)
-    @example(sizes=[3, 1, 3], seed=1, spec=Graphon.constant(1.0), extra_k=3)
-    @example(sizes=[4, 2], seed=2, spec=Graphon.constant(0.0), extra_k=0)
+    @example(sizes=[1], seed=0, spec=Graphon.step([[0.0]]), extra_k=2)
+    @example(sizes=[3, 1, 3], seed=1, spec=Graphon.step([[1.0]]), extra_k=3)
+    @example(sizes=[4, 2], seed=2, spec=Graphon.step([[0.0]]), extra_k=0)
     def test_three_constructions_agree(self, tmp_path_factory, sizes, seed, spec, extra_k):
         sampled, _ = sample_collection(spec, sizes, seed)
         rebuilt = GraphCollection(tuple(Graph(g.n, g.edges.copy()) for g in sampled.graphs))
@@ -563,7 +563,7 @@ class TestFlatLayout:
         triangle = np.array([[0, 1], [0, 2], [1, 2]])
         coll = GraphCollection((Graph(3, triangle), Graph(3, triangle)))
         assert coll.edges.tolist() == [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]
-        sampled, _ = sample_collection(Graphon.constant(1.0), [3, 3], seed=0)
+        sampled, _ = sample_collection(Graphon.step([[1.0]]), [3, 3], seed=0)
         assert np.array_equal(sampled.edges, coll.edges)
         save_collection(coll, tmp_path / "c.jsonl")
         assert np.array_equal(load_collection(tmp_path / "c.jsonl")[0].edges, coll.edges)

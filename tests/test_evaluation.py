@@ -39,10 +39,10 @@ def ordering_from_degrees(degs):
 
 class TestMise:
     def test_matching_constants_zero(self):
-        assert mise(np.array([[0.5]]), Graphon.constant(0.5), 50) == 0.0
+        assert mise(np.array([[0.5]]), Graphon.step([[0.5]]), 50) == 0.0
 
     def test_zero_vs_constant(self):
-        assert mise(np.array([[0.0]]), Graphon.constant(0.3), 50) == pytest.approx(0.09, abs=1e-15)
+        assert mise(np.array([[0.0]]), Graphon.step([[0.3]]), 50) == pytest.approx(0.09, abs=1e-15)
 
     def test_midpoint_grid_of_increasing_kernel_exact(self):
         r = 200
@@ -98,7 +98,7 @@ class TestMise:
 
     def test_resolution_precondition(self):
         with pytest.raises(ValueError):
-            mise(np.zeros((10, 10)), Graphon.constant(0.1), 5)
+            mise(np.zeros((10, 10)), Graphon.step([[0.1]]), 5)
 
     @pytest.mark.parametrize("values, message", [
         # the first returned nan, the next two raised numpy's broadcast

@@ -132,7 +132,7 @@ class TestCanonicalRearrangement:
         assert np.array_equal(out.grid, eval_grid(spec, 1000)[::-1, ::-1])
 
     def test_constant_unchanged(self):
-        spec = Graphon.constant(0.42)
+        spec = Graphon.step([[0.42]])
         out = canonical_rearrangement(spec, 8)
         assert np.array_equal(out.grid, np.full((8, 8), 0.42))
 

@@ -367,7 +367,7 @@ class TestEstimateJgs:
         # on the same side of the median (compounding at the corners), while
         # the tilts cancel for opposite-quantile pairs; diagonal blocks are
         # further deflated by the self-pair denominator (factor ~ 1 - kN/S).
-        coll, _ = sample_collection(Graphon.constant(0.5), [50] * 50, seed=42)
+        coll, _ = sample_collection(Graphon.step([[0.5]]), [50] * 50, seed=42)
         est = estimate_jgs(coll, k="auto")
         k = est.k
         assert abs(est.values.mean() - 0.5) < 0.02
