@@ -7,8 +7,9 @@ grows the number of graphs (MISE plateaus at a non-zero floor because
 per-node degree noise never shrinks). Emits one plot-ready CSV per regime.
 
 A preset of two ``multigraphon benchmark`` runs, one per regime; it exits
-with the worse of their statuses (1 if a row failed, 2 on bad input, which
-stops it before the second run).
+with the worse of their statuses (1 if a row failed, 2 on bad input). The
+configs of both regimes are built and checked before either runs, so bad
+input stops it before any work, with one error line.
 """
 import argparse
 import sys
@@ -37,11 +38,19 @@ def main() -> int:
         (f"regime 2 (n={args.fixed_n} fixed)", "growing_M",
          ["--M", args.M_values, "--sizes", f"fixed:{args.fixed_n}"]),
     ]
+    runs = [(title, common + axis + ["--out", f"{args.out_prefix}_{name}.csv"]) for title, name, axis in regimes]
+    parser = cli.build_parser()
+    try:
+        for _, argv in runs:
+            cli.benchmark_configs(parser.parse_args(argv))
+    except ValueError as exc:
+        print(f"multigraphon: error: {exc}", file=sys.stderr)
+        return 2
     status = 0
-    for title, name, axis in regimes:
+    for title, argv in runs:
         print(title)
-        status = max(status, cli.main(common + axis + ["--out", f"{args.out_prefix}_{name}.csv"]))
-        if status == 2:
+        status = max(status, cli.main(argv))
+        if status == 2:  # an output file that cannot be written
             break
     return status
 

@@ -15,7 +15,6 @@ from .baselines import (
 )
 from .bench import ExperimentConfig, ResultRecord, SizeSpec, collection_seed, run_benchmark
 from .collection import (
-    Graph,
     GraphCollection,
     graph_rng,
     load_collection,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANALYTIC_IDS",
     "ExperimentConfig",
-    "Graph",
     "GraphCollection",
     "Graphon",
     "JointOrdering",

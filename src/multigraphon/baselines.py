@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .collection import Graph, GraphCollection, _offsets, _split
+from .collection import GraphCollection, _graph_edges, _offsets, _split
 from .estimates import StepEstimate, resample_grid
 from .jgs import _edge_counts, _stable_order
 from .tv import TvParams, tv_smooth
@@ -137,8 +137,9 @@ def _sas_blocks(collection: GraphCollection, h: int) -> list[np.ndarray]:
     return [v.reshape(n, n) for v, n in zip(_split(values, cells), nb.tolist())]
 
 
-def usvt_single(graph: Graph, tau: float | None = None) -> np.ndarray:
-    """Spectral-threshold probability matrix for one graph.
+def usvt_single(adjacency: np.ndarray, tau: float | None = None) -> np.ndarray:
+    """Spectral-threshold probability matrix for one graph, from its n x n
+    adjacency matrix.
 
     Eigenpairs of the adjacency with |eigenvalue| >= tau are retained and
     the reconstruction is clipped to [0, 1]. Default threshold is
@@ -146,18 +147,27 @@ def usvt_single(graph: Graph, tau: float | None = None) -> np.ndarray:
     relative 1e-9 below tau counts as a tie and is kept, so an exact tie
     (tau = 1 at n = 25 against an eigenvalue of -1) does not hang on roundoff.
     """
-    if graph.n < 2:
+    n = len(adjacency)
+    if n < 2:
         raise ValueError("spectral estimate needs at least 2 nodes")
     if tau is None:
-        tau = 0.2 * math.sqrt(graph.n)
+        tau = 0.2 * math.sqrt(n)
     # NaN fails both comparisons; an infinite threshold would keep nothing
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"threshold tau must be finite and > 0, got {tau!r}")
-    w, v = jacobi_eigh(graph.adjacency())
+    w, v = jacobi_eigh(adjacency)
     keep = np.abs(w) >= tau * (1 - 1e-9)
     recon = (v[:, keep] * w[keep]) @ v[:, keep].T
     recon = 0.5 * (recon + recon.T)
     return np.clip(recon, 0.0, 1.0)
+
+
+def _adjacency(n: int, edges: np.ndarray) -> np.ndarray:
+    """The n x n 0/1 adjacency matrix of a graph with local edge rows ``edges``."""
+    a = np.zeros((n, n))
+    a[edges[:, 0], edges[:, 1]] = 1.0
+    a[edges[:, 1], edges[:, 0]] = 1.0
+    return a
 
 
 def pool_estimates(per_graph, resolution: int) -> np.ndarray:
@@ -232,5 +242,6 @@ def estimate_usvt_pool(collection: GraphCollection) -> StepEstimate:
     """Pooled spectral-threshold baseline over the whole collection: each
     graph is thresholded at 0.2 sqrt(n) with its own size."""
     t0 = time.perf_counter()
-    ests = [usvt_single(g) for g in _poolable(collection, collection.graphs)]
+    graphs = _poolable(collection, zip(collection.sizes, _graph_edges(collection)))
+    ests = [usvt_single(_adjacency(n, edges)) for n, edges in graphs]
     return _pooled_estimate(collection, ests, "usvt-pool", {"tau": None, "use_nmax": False}, t0)

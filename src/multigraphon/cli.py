@@ -138,9 +138,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_benchmark(args) -> int:
-    """One config per (graphon, M, sizes, k), in that nesting order, all
-    built and checked before any work; their rows are concatenated."""
+def benchmark_configs(args) -> list[ExperimentConfig]:
+    """The configs of a ``benchmark`` command: one per (graphon, M, sizes,
+    k), in that nesting order, all built and checked before any work."""
     graphons = _comma_list(args.graphon, "--graphon", _parse_int)
     counts = _comma_list(args.M, "--M", _parse_int)
     sizes = _comma_list(args.sizes, "--sizes", SizeSpec.parse)
@@ -149,14 +149,30 @@ def cmd_benchmark(args) -> int:
     pooled = [m for m in args.method if m not in bench.JGS_METHODS]
     if len(ks) > 1 and pooled:
         raise ValueError(f"a --k list does not apply to method {pooled[0]!r}, which takes no k")
-    configs = [ExperimentConfig(graphon_ids=(gid,), num_graphs=m, sizes=spec, trials=args.trials, seed=args.seed,
-                                methods=tuple(args.method), k=k, lam=args.lam, resolution=args.res)
-               for gid in graphons for m in counts for spec in sizes for k in ks]
-    records = [rec for cfg in configs for rec in bench.run_benchmark(cfg)]
+    return [ExperimentConfig(graphon_ids=(gid,), num_graphs=m, sizes=spec, trials=args.trials, seed=args.seed,
+                             methods=tuple(args.method), k=k, lam=args.lam, resolution=args.res)
+            for gid in graphons for m in counts for spec in sizes for k in ks]
+
+
+def _failure_line(cfg: ExperimentConfig, rec: ResultRecord) -> str:
+    """The stderr line of a failed row, naming its cell: graphon, M, sizes,
+    collection seed and k. A failed row has no k of its own; a jgs method's
+    block count given in the config stands in for it."""
+    k = rec.k
+    if k is None and rec.method in bench.JGS_METHODS and cfg.k != "auto":
+        k = cfg.k
+    cell = f"graphon {rec.graphon_id} M {rec.num_graphs} sizes {rec.size_label} seed {rec.seed}"
+    return f"failed: {cell}{'' if k is None else f' k {k}'} method {rec.method}: {rec.error}"
+
+
+def cmd_benchmark(args) -> int:
+    """Run every config of :func:`benchmark_configs`; their rows are concatenated."""
+    runs = [(cfg, rec) for cfg in benchmark_configs(args) for rec in bench.run_benchmark(cfg)]
+    records = [rec for _, rec in runs]
     bench.write_results_csv(records, args.out)
-    failures = [r for r in records if r.error]
-    for r in failures:
-        print(f"failed: graphon {r.graphon_id} method {r.method}: {r.error}", file=sys.stderr)
+    failures = [_failure_line(cfg, rec) for cfg, rec in runs if rec.error]
+    for line in failures:
+        print(line, file=sys.stderr)
     print(bench.format_summary(bench.summarize(records)))
     print(f"{len(records)} rows ({len(failures)} failed) -> {args.out}")
     return 1 if failures else 0

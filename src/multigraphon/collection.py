@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 
@@ -30,7 +29,6 @@ from .graphons import Graphon, _kernel
 from .tv import _require_int
 
 __all__ = [
-    "Graph",
     "GraphCollection",
     "InvalidGraph",
     "graph_rng",
@@ -109,42 +107,6 @@ def _global_edges(node_offsets: np.ndarray, edge_offsets: np.ndarray, local: np.
     return local
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
-    """One undirected simple graph: ``n`` nodes, edges as an (E, 2) array, i < j."""
-
-    n: int
-    edges: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _require_int("graph size n", self.n)
-        e = _integers(self.edges, "edge endpoints").reshape(-1, 2)
-        try:
-            _global_edges(np.array([0, self.n], dtype=np.int64), np.array([0, e.shape[0]]), e.copy())
-        except InvalidGraph as exc:
-            raise ValueError(exc.reason) from None
-        object.__setattr__(self, "edges", e)
-
-    @classmethod
-    def _view(cls, n: int, edges: np.ndarray) -> "Graph":
-        """A graph over edges a collection has already validated."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        return g
-
-    @property
-    def edge_count(self) -> int:
-        return self.edges.shape[0]
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        if self.edges.size:
-            a[self.edges[:, 0], self.edges[:, 1]] = 1.0
-            a[self.edges[:, 1], self.edges[:, 0]] = 1.0
-        return a
-
-
 class GraphCollection:
     """M graphs in one flat (CSR) layout, validated once at construction.
 
@@ -152,48 +114,22 @@ class GraphCollection:
     ``node_offsets[m+1] - 1`` and the rows ``edge_offsets[m]`` to
     ``edge_offsets[m+1] - 1`` of ``edges``, an (E, 2) int64 array of global
     endpoints (node offset + local id) with i < j in every row; treat the
-    arrays as read-only. ``GraphCollection(graphs)`` builds the layout from
-    :class:`Graph` objects; :attr:`graphs` gives per-graph views with local ids.
+    arrays as read-only.
     """
 
-    def __init__(self, graphs):
-        graphs = tuple(graphs)
-        local = np.concatenate([g.edges for g in graphs]) if graphs else _EMPTY_EDGES
-        self._build([g.n for g in graphs], [g.edge_count for g in graphs], local)
-        self._graphs = graphs
-
-    @classmethod
-    def from_edge_lists(cls, sizes, edge_counts, local_edges: np.ndarray) -> "GraphCollection":
+    def __init__(self, sizes, edge_counts, local_edges: np.ndarray):
         """Build from graph sizes, per-graph edge counts and the local edge
         lists of all graphs concatenated in graph order, an (E, 2) int64
         array that the collection takes over and rewrites in place. Sizes,
         counts and endpoints must be integers (of an integer dtype)."""
-        coll = cls.__new__(cls)
-        coll._build(sizes, edge_counts, local_edges)
-        coll._graphs = None
-        return coll
-
-    def _build(self, sizes, edge_counts, local: np.ndarray) -> None:
         if len(sizes) == 0:
             raise ValueError("collection must contain at least one graph")
         self.node_offsets = _offsets(_integers(sizes, "graph sizes"))
         self.edge_offsets = _offsets(_integers(edge_counts, "edge counts"))
-        local = _integers(local, "edge endpoints").reshape(-1, 2)
+        local = _integers(local_edges, "edge endpoints").reshape(-1, 2)
         if len(edge_counts) != len(sizes) or self.edge_offsets[-1] != local.shape[0]:
             raise ValueError("need one edge count per graph, adding up to the number of edges")
         self.edges = _global_edges(self.node_offsets, self.edge_offsets, local)
-
-    @property
-    def graphs(self) -> tuple[Graph, ...]:
-        """Per-graph views with local node ids, built on first access."""
-        if self._graphs is None:
-            counts = np.diff(self.edge_offsets)
-            local = self.edges - np.repeat(self.node_offsets[:-1], counts)[:, None]
-            bounds = self.edge_offsets.tolist()
-            self._graphs = tuple(
-                Graph._view(n, local[a:b]) for n, a, b in zip(self.sizes, bounds[:-1], bounds[1:])
-            )
-        return self._graphs
 
     @property
     def num_graphs(self) -> int:
@@ -219,6 +155,14 @@ class GraphCollection:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(np.diff(self.node_offsets).tolist())
+
+
+def _graph_edges(collection: GraphCollection) -> tuple:
+    """The edge rows of each graph with local node ids: views of one (E, 2)
+    array, computed from the flat layout in one pass."""
+    counts = np.diff(collection.edge_offsets)
+    local = collection.edges - np.repeat(collection.node_offsets[:-1], counts)[:, None]
+    return _split(local, collection.edge_offsets)
 
 
 def graph_rng(seed: int, m: int) -> np.random.Generator:
@@ -339,7 +283,7 @@ def sample_collection(spec: Graphon, sizes, seed: int) -> tuple[GraphCollection,
     np.concatenate(heads, out=local[:, 0])
     np.concatenate(tails, out=local[:, 1])
     del heads, tails
-    coll = GraphCollection.from_edge_lists(sizes, counts, local)
+    coll = GraphCollection(sizes, counts, local)
     return coll, _split(latent, node_offsets)
 
 
@@ -432,8 +376,8 @@ def save_collection(
     Output bytes are a pure function of the arguments.
     """
     with open(path, "w") as fh:
-        for m, g in enumerate(collection.graphs):
-            rec = {"id": m, "n": g.n, "edges": g.edges.tolist()}
+        for m, (n, edges) in enumerate(zip(collection.sizes, _graph_edges(collection))):
+            rec = {"id": m, "n": n, "edges": edges.tolist()}
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
     if latent is not None:
         sidecar = {
@@ -585,7 +529,7 @@ def load_collection(path, *, latent: bool = True) -> tuple[GraphCollection, tupl
     sizes, counts, endpoints, linenos = _read_canonical(data) or _read_lines(data, path)
     try:
         local = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
-        collection = GraphCollection.from_edge_lists(sizes, counts, local)
+        collection = GraphCollection(sizes, counts, local)
     except InvalidGraph as exc:
         raise ValueError(
             f"{path}: malformed collection record on line {linenos[exc.graph]}: {exc.reason}"

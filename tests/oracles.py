@@ -4,7 +4,7 @@
 ``jgs_histogram`` must equal bit for bit (acceptance criterion 6).
 ``frozen_joint_rank`` is a frozen copy of ``joint_sort`` from before it
 ordered nodes by a radix sort of exact degree levels: a comparison sort of
-the degree floats.
+the degree floats. ``collection_of`` and ``adjacency`` build test inputs.
 """
 import numpy as np
 
@@ -12,6 +12,27 @@ from multigraphon.collection import GraphCollection
 from multigraphon.estimates import StepEstimate
 from multigraphon.jgs import JointOrdering, _block_of_rank, _check_ordering
 from multigraphon.tv import _require_int
+
+
+NO_EDGES = np.empty((0, 2), dtype=np.int64)
+
+
+def collection_of(graphs) -> GraphCollection:
+    """The collection of ``(n, edges)`` pairs, local edge rows per graph,
+    built by the constructor from a copy of the edges: the caller's arrays
+    stay as they are. Empty edge lists of any dtype drop out of the copy."""
+    graphs = [(n, np.asarray(e).reshape(-1, 2)) for n, e in graphs]
+    local = np.concatenate([e for _, e in graphs if e.size] or [NO_EDGES])
+    return GraphCollection([n for n, _ in graphs], [len(e) for _, e in graphs], local)
+
+
+def adjacency(n, edges) -> np.ndarray:
+    """The dense n x n 0/1 adjacency matrix of edge rows ``edges``."""
+    a = np.zeros((n, n))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    a[edges[:, 0], edges[:, 1]] = 1.0
+    a[edges[:, 1], edges[:, 0]] = 1.0
+    return a
 
 
 def frozen_joint_rank(degrees) -> np.ndarray:
@@ -39,11 +60,14 @@ def jgs_histogram_naive(
     if N > max_nodes:
         raise ValueError(f"naive histogram is oracle-scale only (N={N} > {max_nodes})")
 
+    # global ids index one N x N adjacency; only within-graph pairs are observed
+    a = adjacency(N, collection.edges)
     merged = np.full((N, N), np.nan)
     offsets = collection.node_offsets
-    for m, g in enumerate(collection.graphs):
-        pos = ordering.rank[offsets[m]:offsets[m + 1]] - 1
-        merged[np.ix_(pos, pos)] = g.adjacency()
+    for m in range(collection.num_graphs):
+        nodes = slice(offsets[m], offsets[m + 1])
+        pos = ordering.rank[nodes] - 1
+        merged[np.ix_(pos, pos)] = a[nodes, nodes]
 
     observed = ~np.isnan(merged)
     block_by_rank = _block_of_rank(np.arange(1, N + 1), N, k)

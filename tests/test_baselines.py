@@ -13,22 +13,21 @@ from multigraphon.baselines import (
     usvt_single,
 )
 from multigraphon.bench import SizeSpec, sample_cell
-from multigraphon.collection import Graph, GraphCollection, sample_collection
+from multigraphon.collection import _graph_edges, sample_collection
 from multigraphon.graphons import Graphon
 from multigraphon.tv import TvParams, tv_smooth
-
-NO_EDGES = np.empty((0, 2), dtype=np.int64)
+from oracles import NO_EDGES, adjacency, collection_of
 
 
 def complete_graph(n):
-    edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
-    return Graph(n, np.array(edges))
+    """The (n, edges) pair of the complete graph on n nodes."""
+    return n, np.array([[i, j] for i in range(n) for j in range(i + 1, n)])
 
 
 def sas_blocks(graph, h):
-    """The unsmoothed degree-sorted histogram of one graph, as sas-pool
-    builds it for every graph of a collection."""
-    return _sas_blocks(GraphCollection((graph,)), h)[0]
+    """The unsmoothed degree-sorted histogram of one (n, edges) graph, as
+    sas-pool builds it for every graph of a collection."""
+    return _sas_blocks(collection_of([graph]), h)[0]
 
 
 def char_poly_roots_3x3(a):
@@ -46,7 +45,7 @@ def char_poly_roots_3x3(a):
 
 class TestJacobi:
     def test_k3_reconstruction_and_spectrum(self):
-        a = complete_graph(3).adjacency()
+        a = adjacency(*complete_graph(3))
         w, v = jacobi_eigh(a)
         assert np.allclose((v * w) @ v.T, a, atol=1e-12)
         assert np.allclose(np.sort(w), [-1.0, -1.0, 2.0], atol=1e-12)
@@ -90,11 +89,11 @@ class TestJacobi:
             jacobi_eigh(a, max_sweeps=0)
 
 
-def usvt_eigh(graph):
+def usvt_eigh(a):
     """``usvt_single``'s reconstruction from LAPACK's eigensolver, keeping
     every eigenvalue whose modulus equals 0.2 sqrt(n) up to roundoff."""
-    tau = 0.2 * math.sqrt(graph.n)
-    w, v = np.linalg.eigh(graph.adjacency())
+    tau = 0.2 * math.sqrt(len(a))
+    w, v = np.linalg.eigh(a)
     keep = np.abs(w) >= tau * (1 - 1e-9)
     recon = (v[:, keep] * w[keep]) @ v[:, keep].T
     return np.clip(0.5 * (recon + recon.T), 0.0, 1.0)
@@ -106,42 +105,42 @@ class TestUsvt:
         # n = 25 puts tau at exactly 1, and these graphs have eigenvalues of
         # exactly -1; the Jacobi and LAPACK solvers round them to either side
         coll, _, _ = sample_cell(seed, 12, 0, SizeSpec.parse("uniform:2:40"), 20)
-        g = coll.graphs[index]
-        assert g.n == 25
-        w = np.linalg.eigvalsh(g.adjacency())
+        assert coll.sizes[index] == 25
+        a = adjacency(25, _graph_edges(coll)[index])
+        w = np.linalg.eigvalsh(a)
         assert np.any(np.abs(np.abs(w) - 1.0) < 1e-12)
-        assert np.max(np.abs(usvt_single(g) - usvt_eigh(g))) < 1e-9
+        assert np.max(np.abs(usvt_single(a) - usvt_eigh(a))) < 1e-9
 
     def test_k3_exact(self):
-        g = complete_graph(3)
-        out = usvt_single(g, tau=0.2 * math.sqrt(3))
-        assert np.allclose(out, g.adjacency(), atol=1e-8)
+        a = adjacency(*complete_graph(3))
+        out = usvt_single(a, tau=0.2 * math.sqrt(3))
+        assert np.allclose(out, a, atol=1e-8)
 
     def test_empty_graph_zero(self):
-        out = usvt_single(Graph(5, NO_EDGES))
+        out = usvt_single(np.zeros((5, 5)))
         assert np.array_equal(out, np.zeros((5, 5)))
 
     def test_all_retained_threshold_drop(self):
         # complete-graph spectrum is {n-1, -1}; tau above n-1 kills everything
         n = 6
-        out = usvt_single(complete_graph(n), tau=n - 1 + 0.5)
+        out = usvt_single(adjacency(*complete_graph(n)), tau=n - 1 + 0.5)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_default_threshold_uses_own_size(self):
-        g = complete_graph(4)
-        assert np.allclose(usvt_single(g), usvt_single(g, tau=0.2 * 2.0), atol=1e-12)
+        a = adjacency(*complete_graph(4))
+        assert np.allclose(usvt_single(a), usvt_single(a, tau=0.2 * 2.0), atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            usvt_single(Graph(1, NO_EDGES))
+            usvt_single(np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            usvt_single(complete_graph(3), tau=0.0)
+            usvt_single(adjacency(*complete_graph(3)), tau=0.0)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_threshold_rejected(self, tau):
         # nan and inf used to pass the old tau <= 0 test and return all zeros
         with pytest.raises(ValueError, match=f"threshold tau must be finite and > 0, got {tau!r}"):
-            usvt_single(complete_graph(3), tau=tau)
+            usvt_single(adjacency(*complete_graph(3)), tau=tau)
 
 
 class TestSas:
@@ -150,7 +149,7 @@ class TestSas:
         assert np.array_equal(blocks, np.ones((2, 2)))
 
     def test_empty_graph_zero(self):
-        blocks = tv_smooth(sas_blocks(Graph(6, NO_EDGES), 2), TvParams())
+        blocks = tv_smooth(sas_blocks((6, NO_EDGES), 2), TvParams())
         assert np.array_equal(blocks, np.zeros((3, 3)))
 
     def test_two_block_sbm_separates(self):
@@ -161,14 +160,14 @@ class TestSas:
         # checked against the pattern within tolerance
         edges = [[i, j] for i in range(20) for j in range(i + 1, 20)]
         edges += [[i, j] for i in range(20, 40) for j in range(i + 1, 40)]
-        g = Graph(40, np.array(edges))
+        g = (40, np.array(edges))
         raw = sas_blocks(g, 20)
         assert np.array_equal(raw, np.eye(2))
         smoothed = tv_smooth(raw, TvParams())
         assert np.max(np.abs(smoothed - np.eye(2))) < 0.15
 
     def test_wide_bin_gives_global_density(self):
-        g = Graph(4, np.array([[0, 1], [2, 3]]))
+        g = (4, np.array([[0, 1], [2, 3]]))
         blocks = sas_blocks(g, 10)
         assert blocks.shape == (1, 1)
         assert blocks[0, 0] == pytest.approx(4 / 12)  # ordered pairs, no self-pairs
@@ -176,16 +175,16 @@ class TestSas:
     def test_default_bin_width(self):
         # the pool's width for a one-graph collection is ceil(ln n)
         g = complete_graph(9)
-        est = estimate_sas_pool(GraphCollection((g,)))
+        est = estimate_sas_pool(collection_of([g]))
         assert est.params["h"] == math.ceil(math.log(9))
         assert est.k == math.ceil(9 / math.ceil(math.log(9)))
 
     def test_relabeling_invariance_distinct_degrees(self):
         # threshold-style graph with distinct degree multiset per class
         edges = [[0, 3], [1, 3], [2, 3], [1, 2]]
-        g = Graph(4, np.array(edges))
+        g = (4, np.array(edges))
         perm = np.array([2, 0, 3, 1])
-        relabeled = Graph(4, np.sort(perm[g.edges], axis=1))
+        relabeled = (4, np.sort(perm[g[1]], axis=1))
         a = sas_blocks(g, 2)
         b = sas_blocks(relabeled, 2)
         assert np.array_equal(a, b)
@@ -238,10 +237,19 @@ class TestPooling:
 
 class TestPooledEstimators:
     def test_usvt_pool_empty_graphs_zero(self):
-        coll = GraphCollection((Graph(4, NO_EDGES), Graph(6, NO_EDGES)))
+        coll = collection_of([(4, NO_EDGES), (6, NO_EDGES)])
         est = estimate_usvt_pool(coll)
         assert np.array_equal(est.values, np.zeros((6, 6)))
         assert est.method == "usvt-pool"
+
+    def test_usvt_pool_equals_per_graph_pooling(self):
+        # each graph's adjacency cut from one adjacency over global ids
+        coll, _ = sample_collection(Graphon.analytic(10), [9, 1, 17, 2, 12], seed=5)
+        a, nodes = adjacency(coll.total_nodes, coll.edges), coll.node_offsets
+        singles = [usvt_single(a[p:q, p:q]) for p, q in zip(nodes[:-1], nodes[1:]) if q - p >= 2]
+        est = estimate_usvt_pool(coll)
+        assert np.array_equal(est.values, pool_estimates(singles, 17))
+        assert est.params["skipped_singletons"] == 1
 
     def test_sas_pool_runs_on_sampled_collection(self):
         coll, _ = sample_collection(Graphon.analytic(4), [12, 20, 9], seed=14)
@@ -252,12 +260,12 @@ class TestPooledEstimators:
         assert np.allclose(est.values, est.values.T)
 
     def test_singletons_skipped(self):
-        coll = GraphCollection((Graph(1, NO_EDGES), Graph(5, np.array([[0, 1], [1, 2]]))))
+        coll = collection_of([(1, NO_EDGES), (5, [[0, 1], [1, 2]])])
         est = estimate_usvt_pool(coll)
         assert est.params["skipped_singletons"] == 1
 
     def test_all_singletons_rejected(self):
-        coll = GraphCollection((Graph(1, NO_EDGES),))
+        coll = collection_of([(1, NO_EDGES)])
         with pytest.raises(ValueError):
             estimate_sas_pool(coll)
 
@@ -270,15 +278,3 @@ class TestPooledEstimators:
         coll, _ = sample_collection(Graphon.analytic(4), [12, 20], seed=14)
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             estimate_sas_pool(coll, lam=lam)
-
-    def test_sas_pool_needs_no_dense_adjacency_or_graph_views(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense adjacency or per-graph views built")
-
-        coll, _ = sample_collection(Graphon.analytic(4), [12, 20, 1], seed=14)
-        want = estimate_sas_pool(coll)
-        monkeypatch.setattr(Graph, "adjacency", refuse)
-        monkeypatch.setattr(GraphCollection, "graphs", property(refuse))
-        est = estimate_sas_pool(coll)
-        assert np.array_equal(est.values, want.values) and est.params["skipped_singletons"] == 1
-        assert sas_blocks(Graph(4, np.array([[0, 1], [1, 2]])), 2).shape == (2, 2)

@@ -26,6 +26,7 @@ from multigraphon.bench import (
 from multigraphon.cli import main
 from multigraphon.collection import load_collection, sample_collection, save_collection
 from multigraphon.graphons import Graphon, eval_grid
+from oracles import NO_EDGES, collection_of
 
 
 def read_rows(path):
@@ -364,8 +365,8 @@ class TestCli:
             coll.sizes,
             sidecar["seed"],
         )
-        for ga, gb in zip(coll.graphs, resampled.graphs):
-            assert np.array_equal(ga.edges, gb.edges)
+        assert np.array_equal(coll.edge_offsets, resampled.edge_offsets)
+        assert np.array_equal(coll.edges, resampled.edges)
 
     def test_estimate_ignores_latent_values(self, tmp_path, capsys):
         # estimate keeps only the sidecar's seed; evaluate --mae still checks the values
@@ -398,9 +399,7 @@ class TestCli:
 
     def test_estimate_k2_singleton(self, tmp_path):
         coll_path = tmp_path / "k2.jsonl"
-        from multigraphon.collection import Graph, GraphCollection
-
-        save_collection(GraphCollection((Graph(2, np.array([[0, 1]])),)), coll_path)
+        save_collection(collection_of([(2, [[0, 1]])]), coll_path)
         est_path = tmp_path / "est.csv"
         assert main(["estimate", "--collection", str(coll_path), "--method", "jgs",
                      "--k", "1", "--out", str(est_path)]) == 0
@@ -463,11 +462,8 @@ class TestCli:
         assert not out.exists()
 
     def test_usvt_pool_on_empty_graphs(self, tmp_path):
-        from multigraphon.collection import Graph, GraphCollection
-
         coll_path = tmp_path / "e.jsonl"
-        empty = np.empty((0, 2), dtype=np.int64)
-        save_collection(GraphCollection((Graph(3, empty), Graph(4, empty))), coll_path)
+        save_collection(collection_of([(3, NO_EDGES), (4, NO_EDGES)]), coll_path)
         est_path = tmp_path / "u.csv"
         main(["estimate", "--collection", str(coll_path), "--method", "usvt-pool",
               "--out", str(est_path)])
@@ -505,10 +501,8 @@ class TestCli:
         assert float(read_rows(out)[1][6]) <= 1e-12
 
     def test_evaluate_mae_needs_sidecar(self, tmp_path, capsys):
-        from multigraphon.collection import Graph, GraphCollection
-
         coll_path = tmp_path / "nos.jsonl"
-        save_collection(GraphCollection((Graph(2, np.array([[0, 1]])),)), coll_path)
+        save_collection(collection_of([(2, [[0, 1]])]), coll_path)
         est = tmp_path / "est.csv"
         est.write_text("0.5\n")
         (tmp_path / "est.csv.meta.json").write_text('{"method":"jgs"}')  # --mae scores jgs estimates only
@@ -824,7 +818,25 @@ class TestCliExitStatus:
         rows = read_rows(out)
         assert [r[5] for r in rows[1:]] == ["jgs", "usvt-pool"]
         assert rows[1][6] != "" and rows[2][6] == ""  # the failed row is kept, without a mise
-        assert "failed: graphon 1 method usvt-pool" in capsys.readouterr().err
+        seed = collection_seed(5, 1, 0)
+        assert f"failed: graphon 1 M 3 sizes fixed:24 seed {seed} method usvt-pool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, cells", [
+        (["--M", "2,3", "--sizes", "fixed:24", "--method", "usvt-pool"],
+         ["M 2 sizes fixed:24 seed {seed} method usvt-pool", "M 3 sizes fixed:24 seed {seed} method usvt-pool"]),
+        # a failed row has no k: the line names the block count of its config
+        (["--M", "2", "--sizes", "fixed:6", "--method", "jgs", "--k", "25,30"],
+         ["M 2 sizes fixed:6 seed {seed} k 25 method jgs", "M 2 sizes fixed:6 seed {seed} k 30 method jgs"]),
+    ], ids=["M-list", "k-list"])
+    def test_failed_cells_print_distinct_lines(self, tmp_path, capsys, args, cells):
+        # the grids are finer than --res 20, so every row fails; each failure
+        # used to print "failed: graphon 1 method <method>: ..." alone, twice
+        out = tmp_path / "rows.csv"
+        assert main(["benchmark", "--graphon", "1", "--trials", "1", "--res", "20", "--out", str(out)] + args) == 1
+        reason = "ValueError: resolution must be at least as fine as both grids"
+        seed = collection_seed(0, 1, 0)
+        assert capsys.readouterr().err.splitlines() == [
+            f"failed: graphon 1 {cell.format(seed=seed)}: {reason}" for cell in cells]
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["benchmark", "estimate", "estimate-jgs", "smooth"])

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 from multigraphon import baselines, tv
 from multigraphon.baselines import estimate_sas_pool, jacobi_eigh, pool_estimates
 from multigraphon.bench import SizeSpec, estimate, sample_cell
-from multigraphon.collection import Graph, GraphCollection, sample_collection
+from multigraphon.collection import _graph_edges, sample_collection
 from multigraphon.graphons import Graphon
 from multigraphon.jgs import joint_sort, normalized_degrees
 from multigraphon.tv import TvParams, TvResult, tv_denoise, tv_smooth
-from oracles import frozen_joint_rank
+from oracles import NO_EDGES, adjacency, collection_of, frozen_joint_rank
 
 
 def frozen_jacobi_eigh(a, tol=1e-10, max_sweeps=100):
@@ -68,14 +68,14 @@ def frozen_jacobi_eigh(a, tol=1e-10, max_sweeps=100):
 
 
 def frozen_sas_single(graph, h=None, lam=0.05, smooth=True):
-    if graph.n < 2:
+    n, edges = graph
+    if n < 2:
         raise ValueError("single-graph histogram needs at least 2 nodes")
-    n = graph.n
     if h is None:
         h = max(1, math.ceil(math.log(n)))
-    degrees = np.bincount(graph.edges.ravel(), minlength=n).astype(np.int64)
+    degrees = np.bincount(np.asarray(edges).ravel(), minlength=n).astype(np.int64)
     order = np.argsort(degrees / (n - 1), kind="stable")
-    a = graph.adjacency()[np.ix_(order, order)]
+    a = adjacency(n, edges)[np.ix_(order, order)]
     nb = max(1, math.ceil(n / h))
     bounds = [min(b * h, n) for b in range(nb + 1)]
     bounds[-1] = n
@@ -94,10 +94,15 @@ def frozen_sas_single(graph, h=None, lam=0.05, smooth=True):
     return blocks
 
 
+def graphs_of(coll):
+    """The (n, edges) pairs of a collection's graphs, local node ids."""
+    return list(zip(coll.sizes, _graph_edges(coll)))
+
+
 def frozen_sas_pool(coll, h, lam):
     """``estimate_sas_pool``'s values: the frozen histogram of every graph of
     >= 2 nodes at the pool's bin width, pooled on the finest grid."""
-    singles = [frozen_sas_single(g, h=h, lam=lam) for g in coll.graphs if g.n >= 2]
+    singles = [frozen_sas_single(g, h=h, lam=lam) for g in graphs_of(coll) if g[0] >= 2]
     return pool_estimates(singles, max(s.shape[0] for s in singles))
 
 
@@ -203,7 +208,7 @@ class TestJacobiBytes:
         pytest.param(np.ones((25, 25)) - np.eye(25), id="K25"),
         # isolated nodes 0, 4 and 8 and a path 3-5-6-7 hanging off a
         # triangle: zero pairs are skipped mid-sweep
-        pytest.param(Graph(9, np.array([[1, 2], [1, 3], [2, 3], [3, 5], [5, 6], [6, 7]])).adjacency(),
+        pytest.param(adjacency(9, [[1, 2], [1, 3], [2, 3], [3, 5], [5, 6], [6, 7]]),
                      id="isolated-and-pendant"),
     ])
     def test_adjacency(self, a):
@@ -474,11 +479,12 @@ def test_sas_pool_equals_per_graph_pooling():
     # several block shapes (n from 2 to 40 with a shared bin width) plus singletons
     sizes = [1, 2, 3, 5, 8, 9, 9, 12, 20, 1, 33, 40, 40, 17]
     coll, _ = sample_collection(Graphon.analytic(4), sizes, seed=21)
-    coll = GraphCollection(list(coll.graphs) + [Graph(6, np.empty((0, 2), dtype=np.int64))])
+    graphs = graphs_of(coll) + [(6, NO_EDGES)]
+    coll = collection_of(graphs)
     for lam in (0.05, 0.3, 0.01):
         est = estimate_sas_pool(coll, lam=lam)
         width = est.params["h"]
-        assert len({frozen_sas_single(g, h=width, smooth=False).shape for g in coll.graphs if g.n >= 2}) > 2
+        assert len({frozen_sas_single(g, h=width, smooth=False).shape for g in graphs if g[0] >= 2}) > 2
         assert same_bytes(est.values, frozen_sas_pool(coll, width, lam))
         assert est.params["skipped_singletons"] == 2
 
@@ -494,30 +500,30 @@ def graph_lists(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         i, j = np.triu_indices(n, 1)
         hit = rng.random(i.size) < p
-        graphs.append(Graph(n, np.stack([i[hit], j[hit]], axis=1)))
+        graphs.append((n, np.stack([i[hit], j[hit]], axis=1)))
     return graphs
 
 
 @settings(max_examples=30, deadline=None)
 @given(graphs=graph_lists(), data=st.data())
 def test_sas_matches_frozen_double_loop(graphs, data):
-    n_max = max(g.n for g in graphs)
+    n_max = max(n for n, _ in graphs)
     h = data.draw(st.one_of(st.none(), st.integers(1, n_max + 3)), label="h")
     lam = data.draw(st.sampled_from([0.05, 0.3]), label="lam")
     for g in graphs:
-        if g.n >= 2:
-            width = max(1, math.ceil(math.log(g.n))) if h is None else h
-            blocks = baselines._sas_blocks(GraphCollection((g,)), width)[0]
+        if g[0] >= 2:
+            width = max(1, math.ceil(math.log(g[0]))) if h is None else h
+            blocks = baselines._sas_blocks(collection_of([g]), width)[0]
             assert same_bytes(blocks, frozen_sas_single(g, h=h, smooth=False))
             want = frozen_sas_single(g, h=h, lam=lam)
             assert same_bytes(tv_smooth(blocks, TvParams(lam=lam)), want)
     if n_max >= 2:
-        coll = GraphCollection(graphs)
+        coll = collection_of(graphs)
         est = estimate_sas_pool(coll, lam=lam)
         width = max(1, math.ceil(math.log(n_max)))
         assert est.params["h"] == width
         assert same_bytes(est.values, frozen_sas_pool(coll, width, lam))
-        assert est.params["skipped_singletons"] == sum(g.n < 2 for g in graphs)
+        assert est.params["skipped_singletons"] == sum(n < 2 for n, _ in graphs)
 
 
 @pytest.mark.parametrize("graphon_id", [1, 10])
@@ -536,8 +542,8 @@ def test_sas_blocks_with_more_than_65536_nodes():
     for n in rng.integers(150, 300, 300):
         i, j = np.triu_indices(n, 1)
         hit = rng.random(i.size) < 4 / n
-        graphs.append(Graph(int(n), np.stack([i[hit], j[hit]], axis=1)))
-    coll = GraphCollection(graphs)
+        graphs.append((int(n), np.stack([i[hit], j[hit]], axis=1)))
+    coll = collection_of(graphs)
     assert coll.total_nodes > 1 << 16
     for g, table in zip(graphs, baselines._sas_blocks(coll, 40)):
         assert same_bytes(table, frozen_sas_single(g, h=40, smooth=False))
@@ -565,8 +571,8 @@ def test_sas_tables_are_ragged():
     rng = np.random.default_rng(3)
     i, j = np.triu_indices(600, 1)
     hit = rng.random(i.size) < 0.05
-    graphs = [Graph(3, np.array([[0, 1], [1, 2]]))] * 500 + [Graph(600, np.stack([i[hit], j[hit]], axis=1))]
-    coll = GraphCollection(graphs)
+    graphs = [(3, [[0, 1], [1, 2]])] * 500 + [(600, np.stack([i[hit], j[hit]], axis=1))]
+    coll = collection_of(graphs)
     tracemalloc.start()
     try:
         tables = baselines._sas_blocks(coll, 7)

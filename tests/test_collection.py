@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from unittest import mock
@@ -8,67 +9,57 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multigraphon import collection
+from multigraphon.bench import collection_seed
 from multigraphon.collection import (
-    Graph,
     GraphCollection,
+    _graph_edges,
     load_collection,
     sample_collection,
     save_collection,
 )
 from multigraphon.graphons import Graphon, graphon_eval
 from multigraphon.jgs import jgs_histogram, joint_sort, normalized_degrees
-from oracles import jgs_histogram_naive
-
-NO_EDGES = np.empty((0, 2), dtype=np.int64)
+from oracles import NO_EDGES, collection_of, jgs_histogram_naive
 
 
 class TestGraphValidation:
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(3, np.array([[1, 1]]))
+        with pytest.raises(ValueError, match=re.escape("graph 0: edges must satisfy i < j (no self-loops)")):
+            GraphCollection([3], [1], np.array([[1, 1]]))
 
     def test_unordered_pair_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(3, np.array([[2, 1]]))
+        with pytest.raises(ValueError, match=re.escape("graph 0: edges must satisfy i < j (no self-loops)")):
+            GraphCollection([3], [1], np.array([[2, 1]]))
 
     def test_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(3, np.array([[0, 1], [0, 1]]))
+        with pytest.raises(ValueError, match="^graph 0: duplicate edges$"):
+            GraphCollection([3], [2], np.array([[0, 1], [0, 1]]))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(3, np.array([[0, 3]]))
+        with pytest.raises(ValueError, match=re.escape("graph 0: edge endpoints must lie in [0, n)")):
+            GraphCollection([3], [1], np.array([[0, 3]]))
 
-    # each was accepted and truncated: n == 2.5 with sizes (2,), the edge
-    # [[0, 1]] from [[0.5, 1.9]], True as one node, sizes (3,) from 3.7
-    @pytest.mark.parametrize("n, edges, message", [
-        (2.5, [[0, 1]], "graph size n must be an integer >= 1, got 2.5"),
-        (True, NO_EDGES, "graph size n must be an integer >= 1, got True"),
-        (3, np.array([[0.5, 1.9]]), "edge endpoints must be integers, got float64 values"),
-        (3, np.array([[False, True]]), "edge endpoints must be integers, got bool values"),
-    ], ids=["float-n", "bool-n", "float-edges", "bool-edges"])
-    def test_non_integer_graph_rejected(self, n, edges, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Graph(n, edges)
-
+    # each was accepted and truncated: sizes (3,) from 3.7, True as one
+    # node, the edge [[0, 1]] from [[0.5, 1.9]]
     @pytest.mark.parametrize("sizes, counts, edges, message", [
         ([3.7], [1], np.array([[0, 1]]), "graph sizes must be integers, got float64 values"),
+        ([True], [0], NO_EDGES, "graph sizes must be integers, got bool values"),
         ([3], [1.0], np.array([[0, 1]]), "edge counts must be integers, got float64 values"),
-        ([3], [1], np.array([[0.0, 1.0]]), "edge endpoints must be integers, got float64 values"),
-    ], ids=["sizes", "counts", "edges"])
+        ([3], [1], np.array([[0.5, 1.9]]), "edge endpoints must be integers, got float64 values"),
+        ([3], [1], np.array([[False, True]]), "edge endpoints must be integers, got bool values"),
+    ], ids=["sizes", "bool-sizes", "counts", "edges", "bool-edges"])
     def test_non_integer_edge_lists_rejected(self, sizes, counts, edges, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            GraphCollection.from_edge_lists(sizes, counts, edges)
+            GraphCollection(sizes, counts, edges)
 
     def test_integer_inputs_of_any_width_accepted(self):
-        g = Graph(np.int64(3), np.array([[0, 1]], dtype=np.int32))
-        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1]]
-        assert Graph(3, np.empty((0, 2))).edge_count == Graph(3, []).edge_count == 0
-        coll = GraphCollection.from_edge_lists(np.array([3], dtype=np.uint8), np.array([0]), np.empty((0, 2)))
-        assert coll.sizes == (3,) and coll.edge_count == 0
+        coll = GraphCollection(np.array([3], dtype=np.uint8), np.array([1]), np.array([[0, 1]], dtype=np.int32))
+        assert coll.sizes == (3,) and coll.edges.dtype == np.int64 and coll.edges.tolist() == [[0, 1]]
+        for empty in (np.empty((0, 2)), []):
+            assert GraphCollection([np.int64(3)], [0], empty).edge_count == 0
 
     def test_counts(self):
-        coll = GraphCollection((Graph(2, np.array([[0, 1]])), Graph(3, NO_EDGES)))
+        coll = collection_of([(2, [[0, 1]]), (3, NO_EDGES)])
         assert coll.num_graphs == 2
         assert coll.total_nodes == 5
         assert coll.total_dyads == 4 + 9
@@ -78,23 +69,22 @@ class TestGraphValidation:
 class TestSampling:
     def test_all_one_gives_complete_graph(self):
         coll, _ = sample_collection(Graphon.step([[1.0]]), [4], seed=0)
-        assert coll.graphs[0].edge_count == 6
+        assert coll.edge_count == 6
 
     def test_all_zero_gives_empty_graph(self):
         coll, _ = sample_collection(Graphon.step([[0.0]]), [4], seed=0)
-        assert coll.graphs[0].edge_count == 0
+        assert coll.edge_count == 0
 
     def test_half_density_concentrates(self):
         # direct edge count as the oracle: density of W=1/2 on n=2000
         coll, _ = sample_collection(Graphon.step([[0.5]]), [2000], seed=3)
-        density = coll.graphs[0].edge_count / (2000 * 1999 / 2)
+        density = coll.edge_count / (2000 * 1999 / 2)
         assert 0.47 <= density <= 0.53
 
     def test_seed_reproducibility(self):
         a, ua = sample_collection(Graphon.analytic(3), [5, 9], seed=11)
         b, ub = sample_collection(Graphon.analytic(3), [5, 9], seed=11)
-        for ga, gb in zip(a.graphs, b.graphs):
-            assert np.array_equal(ga.edges, gb.edges)
+        assert np.array_equal(a.edge_offsets, b.edge_offsets) and np.array_equal(a.edges, b.edges)
         for x, y in zip(ua, ub):
             assert np.array_equal(x, y)
 
@@ -103,7 +93,7 @@ class TestSampling:
         # perturb graph 1
         a, ua = sample_collection(Graphon.analytic(3), [5, 9], seed=11)
         b, ub = sample_collection(Graphon.analytic(3), [17, 9], seed=11)
-        assert np.array_equal(a.graphs[1].edges, b.graphs[1].edges)
+        assert np.array_equal(_graph_edges(a)[1], _graph_edges(b)[1])
         assert np.array_equal(ua[1], ub[1])
 
     def test_latents_match_sizes_and_range(self):
@@ -131,7 +121,7 @@ class TestSampling:
     @given(n=st.integers(min_value=1, max_value=25), seed=st.integers(min_value=0, max_value=2**32))
     def test_edge_count_bound(self, n, seed):
         coll, _ = sample_collection(Graphon.analytic(11), [n], seed=seed)
-        assert coll.graphs[0].edge_count <= n * (n - 1) // 2
+        assert coll.edge_count <= n * (n - 1) // 2
 
 
 def reference_sample(spec, sizes, seed):
@@ -158,9 +148,10 @@ def test_sampler_matches_reference(spec):
     sizes = [1, 2, 3, 362, 363, 1000]
     coll, latent = sample_collection(spec, sizes, seed=21)
     ref_latent, ref_edges = reference_sample(spec, sizes, 21)
+    edges = _graph_edges(coll)
     for m in range(len(sizes)):
         assert np.array_equal(latent[m], ref_latent[m])
-        assert np.array_equal(coll.graphs[m].edges, ref_edges[m])
+        assert np.array_equal(edges[m], ref_edges[m])
 
 
 # pairs per graph 0,6,1,0,10,1,1,3,0,435,0,1,136,0 (offsets 0,0,6,7,7,17,...):
@@ -173,9 +164,10 @@ def assert_matches_reference(spec, sizes, seed):
     coll, latent = sample_collection(spec, sizes, seed=seed)
     ref_latent, ref_edges = reference_sample(spec, sizes, seed)
     assert coll.sizes == tuple(sizes) and len(latent) == len(sizes)
+    edges = _graph_edges(coll)
     for m in range(len(sizes)):
         assert latent[m].tobytes() == ref_latent[m].tobytes()
-        assert coll.graphs[m].edges.tobytes() == ref_edges[m].astype(np.int64).tobytes()
+        assert edges[m].tobytes() == ref_edges[m].astype(np.int64).tobytes()
 
 
 class TestChunkedStream:
@@ -364,8 +356,7 @@ class TestJsonl:
         save_collection(coll, path, latent=latent, graphon_id=4, seed=9)
         loaded, lat2, sidecar = load_collection(path)
         assert loaded.sizes == coll.sizes
-        for ga, gb in zip(coll.graphs, loaded.graphs):
-            assert np.array_equal(ga.edges, gb.edges)
+        assert np.array_equal(loaded.edge_offsets, coll.edge_offsets) and np.array_equal(loaded.edges, coll.edges)
         for ua, ub in zip(latent, lat2):
             assert np.allclose(ua, ub)
         assert sidecar["graphon_id"] == 4 and sidecar["seed"] == 9
@@ -379,9 +370,15 @@ class TestJsonl:
         assert (tmp_path / "a.jsonl.sidecar.json").read_bytes() == (tmp_path / "b.jsonl.sidecar.json").read_bytes()
 
     def test_saved_bytes_are_pinned(self, tmp_path):
-        # the exact form that load_collection reads in one vectorized pass
-        graphs = (Graph(3, np.array([[0, 1], [0, 2]])), Graph(1, NO_EDGES), Graph(2, np.array([[0, 1]])))
-        coll = GraphCollection(graphs)
+        """The exact form that load_collection reads in one vectorized pass,
+        written out for three graphs, then pinned by SHA-256 digests of the
+        JSONL file and its sidecar for two sampled collections: the
+        many-graphs benchmark fixture (5000 graphs of n=10 from graphon 1)
+        and eleven graphs of a step graphon with a zero block, four of them
+        singletons and three edgeless with n >= 2. The digests were recorded
+        with save_collection at commit 24fcd1c, when it wrote each record
+        from a per-graph view object."""
+        coll = collection_of([(3, [[0, 1], [0, 2]]), (1, NO_EDGES), (2, [[0, 1]])])
         path = tmp_path / "c.jsonl"
         save_collection(coll, path, latent=[[0.5, 0.25, 1.0], [0.0], [0.125, 0.75]], graphon_id=4, seed=12)
         assert path.read_bytes() == (
@@ -392,6 +389,22 @@ class TestJsonl:
         assert (tmp_path / "c.jsonl.sidecar.json").read_bytes() == (
             b'{"latent":[[0.5,0.25,1.0],[0.0],[0.125,0.75]],"graphon_id":4,"seed":12}\n'
         )
+
+        cases = [
+            (Graphon.analytic(1), [10] * 5000, 1, collection_seed(0, 1, 0),
+             "ec869279892a5a5cad600ecaa1256a5f011d41a74dea09c7d786656223505a76",
+             "817937bfea5d35660a5cee54d5c4e5099ea81da3a6ebdeb20ec0c602724f184c"),
+            (Graphon.step([[0.0, 0.0], [0.0, 0.9]]), [1, 3, 2, 1, 12, 4, 1, 30, 2, 6, 1], None,
+             collection_seed(0, 10, 0),
+             "8d33f042597041073e180336d5b642e8d48de708e0ad0b0bbd2b1c57707022b7",
+             "04559d17f08633cd808d2da1c2c766a4cb05326d60a53df49def7f2ecfac4e49"),
+        ]
+        for spec, sizes, graphon_id, seed, jsonl, sidecar in cases:
+            coll, latent = sample_collection(spec, sizes, seed)
+            save_collection(coll, path, latent=latent, graphon_id=graphon_id, seed=seed)
+            digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, tmp_path / "c.jsonl.sidecar.json")]
+            assert digests == [jsonl, sidecar]
+        assert np.diff(coll.edge_offsets).tolist() == [0, 0, 0, 0, 19, 1, 0, 97, 0, 5, 0]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -519,8 +532,8 @@ class TestBulkReader:
 
 
 class TestFlatLayout:
-    """GraphCollection(graphs), sample_collection and save + load must build
-    the same flat collection."""
+    """The constructor, sample_collection and save + load must build the
+    same flat collection."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -537,7 +550,7 @@ class TestFlatLayout:
     @example(sizes=[4, 2], seed=2, spec=Graphon.step([[0.0]]), extra_k=0)
     def test_three_constructions_agree(self, tmp_path_factory, sizes, seed, spec, extra_k):
         sampled, _ = sample_collection(spec, sizes, seed)
-        rebuilt = GraphCollection(tuple(Graph(g.n, g.edges.copy()) for g in sampled.graphs))
+        rebuilt = collection_of(zip(sampled.sizes, _graph_edges(sampled)))
         path = tmp_path_factory.mktemp("flat") / "c.jsonl"
         save_collection(sampled, path)
         loaded, _, _ = load_collection(path)
@@ -548,20 +561,19 @@ class TestFlatLayout:
         reference = jgs_histogram_naive(sampled, ordering, k).values.tobytes()
         for coll in (sampled, rebuilt, loaded):
             assert coll.sizes == tuple(sizes)
-            assert coll.edge_count == sum(g.edge_count for g in sampled.graphs)
-            for g, h in zip(coll.graphs, sampled.graphs):
-                assert g.n == h.n and g.edges.dtype == np.int64
-                assert np.array_equal(g.edges, h.edges)
+            assert np.array_equal(coll.edge_offsets, sampled.edge_offsets)
+            for e, f in zip(_graph_edges(coll), _graph_edges(sampled)):
+                assert e.dtype == np.int64 and np.array_equal(e, f)
             report = normalized_degrees(coll)
-            for g, d in zip(coll.graphs, report.per_graph):  # per-graph loop reference
-                assert np.array_equal(d, np.bincount(g.edges.ravel(), minlength=g.n) / max(g.n - 1, 1))
+            for n, e, d in zip(coll.sizes, _graph_edges(coll), report.per_graph):  # per-graph loop reference
+                assert np.array_equal(d, np.bincount(e.ravel(), minlength=n) / max(n - 1, 1))
             coll_ordering = joint_sort(report)
             assert np.array_equal(coll_ordering.rank, joint_sort(report.per_graph).rank)
             assert jgs_histogram(coll, coll_ordering, k).values.tobytes() == reference
 
     def test_identical_graphs_are_not_duplicates(self, tmp_path):
         triangle = np.array([[0, 1], [0, 2], [1, 2]])
-        coll = GraphCollection((Graph(3, triangle), Graph(3, triangle)))
+        coll = collection_of([(3, triangle), (3, triangle)])
         assert coll.edges.tolist() == [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]
         sampled, _ = sample_collection(Graphon.step([[1.0]]), [3, 3], seed=0)
         assert np.array_equal(sampled.edges, coll.edges)
@@ -570,16 +582,17 @@ class TestFlatLayout:
 
     def test_unsorted_duplicate_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="graph 1: duplicate edges"):
-            GraphCollection.from_edge_lists([2, 3], [1, 3], np.array([[0, 1], [1, 2], [0, 1], [1, 2]]))
+            GraphCollection([2, 3], [1, 3], np.array([[0, 1], [1, 2], [0, 1], [1, 2]]))
         path = tmp_path / "dup.jsonl"
         path.write_text('{"id":0,"n":2,"edges":[[0,1]]}\n{"id":1,"n":3,"edges":[[1,2],[0,1],[1,2]]}\n')
         with pytest.raises(ValueError, match="line 2: duplicate edges"):
             load_collection(path)
 
     def test_flat_arrays_and_local_views(self):
-        coll = GraphCollection((Graph(2, np.array([[0, 1]])), Graph(3, np.array([[1, 2]]))))
+        local = np.array([[0, 1], [1, 2]])
+        coll = GraphCollection([2, 3], [1, 1], local)
         assert coll.edges.tolist() == [[0, 1], [3, 4]]
         assert coll.node_offsets.tolist() == [0, 2, 5]
         assert coll.edge_offsets.tolist() == [0, 1, 2]
-        views = GraphCollection.from_edge_lists([2, 3], [1, 1], np.array([[0, 1], [1, 2]])).graphs
-        assert [g.edges.tolist() for g in views] == [[[0, 1]], [[1, 2]]]
+        assert np.shares_memory(coll.edges, local)  # taken over and rewritten in place
+        assert [e.tolist() for e in _graph_edges(coll)] == [[[0, 1]], [[1, 2]]]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigraphon.collection import Graph, GraphCollection, sample_collection
+from multigraphon.collection import _graph_edges, sample_collection
 from multigraphon import jgs
 from multigraphon.graphons import Graphon
 from multigraphon.jgs import (
@@ -18,13 +18,7 @@ from multigraphon.jgs import (
     smooth_estimate,
 )
 from multigraphon.tv import TvParams
-from oracles import frozen_joint_rank, jgs_histogram_naive
-
-NO_EDGES = np.empty((0, 2), dtype=np.int64)
-
-
-def make_collection(*graphs):
-    return GraphCollection(tuple(Graph(n, np.asarray(e, dtype=np.int64).reshape(-1, 2)) for n, e in graphs))
+from oracles import collection_of, frozen_joint_rank, jgs_histogram_naive
 
 
 def ordering_of(coll):
@@ -37,19 +31,19 @@ EMPTY2 = (2, np.empty((0, 2)))
 
 class TestNormalizedDegrees:
     def test_path3(self):
-        coll = make_collection((3, [[0, 1], [1, 2]]))
+        coll = collection_of([(3, [[0, 1], [1, 2]])])
         assert normalized_degrees(coll).per_graph[0].tolist() == [0.5, 1.0, 0.5]
 
     def test_complete4(self):
-        coll = make_collection((4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]))
+        coll = collection_of([(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])])
         assert normalized_degrees(coll).per_graph[0].tolist() == [1.0] * 4
 
     def test_empty5(self):
-        coll = make_collection((5, np.empty((0, 2))))
+        coll = collection_of([(5, np.empty((0, 2)))])
         assert normalized_degrees(coll).per_graph[0].tolist() == [0.0] * 5
 
     def test_singleton_flagged(self):
-        coll = make_collection((1, np.empty((0, 2))), K2)
+        coll = collection_of([(1, np.empty((0, 2))), K2])
         rep = normalized_degrees(coll)
         assert rep.per_graph[0].tolist() == [0.0]
         assert rep.singleton_graphs == (0,)
@@ -106,7 +100,7 @@ def graph_of_kind(n, kind, seed=0, p=0.5):
         keep = np.ones(i.size, dtype=bool)
     else:
         keep = np.random.default_rng(seed).random(i.size) < p
-    return Graph(n, np.stack([i[keep], j[keep]], axis=1))
+    return n, np.stack([i[keep], j[keep]], axis=1)
 
 
 @st.composite
@@ -116,7 +110,7 @@ def mixed_collections(draw):
         n = draw(st.one_of(st.just(1), st.integers(1, 60)))
         kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
         graphs.append(graph_of_kind(n, kind, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0, 1))))
-    return GraphCollection(tuple(graphs))
+    return collection_of(graphs)
 
 
 class TestDegreeLevels:
@@ -141,7 +135,7 @@ class TestDegreeLevels:
         graphs = [graph_of_kind(n, "edgeless") for n in range(1, 471)]
         graphs += [graph_of_kind(470, "complete"), graph_of_kind(469, "random", 1, 0.995),
                    graph_of_kind(467, "random", 2, 0.5)]
-        report = normalized_degrees(GraphCollection(tuple(graphs)))
+        report = normalized_degrees(collection_of(graphs))
         level, levels = jgs._degree_levels(report)
         assert levels > 1 << 16
         assert level.min() == 0 and np.count_nonzero(level >= 1 << 16) > 100
@@ -189,30 +183,30 @@ class TestSelectK:
 
 class TestHistogram:
     def test_k2_single_block(self):
-        coll = make_collection(K2)
+        coll = collection_of([K2])
         est = jgs_histogram(coll, ordering_of(coll), 1)
         # ordered pairs: 2 edges observed out of 4 dyads (2 self-pairs count)
         assert est.values.tolist() == [[0.5]]
 
     def test_k2_plus_empty(self):
-        coll = make_collection(K2, EMPTY2)
+        coll = collection_of([K2, EMPTY2])
         est = jgs_histogram(coll, ordering_of(coll), 1)
         assert est.values.tolist() == [[0.25]]
 
     def test_k2_two_blocks(self):
-        coll = make_collection(K2)
+        coll = collection_of([K2])
         est = jgs_histogram(coll, ordering_of(coll), 2)
         assert est.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_all_missing_block_is_zero(self):
         # two 2-node graphs and k=4: several blocks see no within-graph dyad
-        coll = make_collection(K2, EMPTY2)
+        coll = collection_of([K2, EMPTY2])
         est = jgs_histogram(coll, ordering_of(coll), 4)
         assert est.empty_blocks > 0
         assert np.all(est.values >= 0) and np.all(est.values <= 1)
 
     def test_k_exceeding_n_allowed(self):
-        coll = make_collection(K2)
+        coll = collection_of([K2])
         est = jgs_histogram(coll, ordering_of(coll), 5)
         assert est.empty_blocks > 0
 
@@ -228,18 +222,18 @@ class TestHistogram:
     def test_one_pass_counters(self):
         coll, _ = sample_collection(Graphon.analytic(1), [10, 20, 30], seed=4)
         est = jgs_histogram(coll, ordering_of(coll), 5)
-        assert est.params["edges_touched"] == sum(g.edge_count for g in coll.graphs)
+        assert est.params["edges_touched"] == coll.edge_count
         assert est.params["nodes_touched"] == coll.total_nodes
 
     def test_ordering_mismatch_rejected(self):
-        coll = make_collection(K2)
-        other = ordering_of(make_collection((3, [[0, 1]])))
+        coll = collection_of([K2])
+        other = ordering_of(collection_of([(3, [[0, 1]])]))
         with pytest.raises(ValueError):
             jgs_histogram(coll, other, 2)
 
     def test_same_node_count_other_graph_sizes_rejected(self):
-        coll = make_collection((3, [[0, 1]]), K2)
-        other = ordering_of(make_collection(K2, (3, [[0, 1]])))
+        coll = collection_of([(3, [[0, 1]]), K2])
+        other = ordering_of(collection_of([K2, (3, [[0, 1]])]))
         assert other.n_total == coll.total_nodes
         with pytest.raises(ValueError, match="does not cover exactly"):
             jgs_histogram(coll, other, 2)
@@ -267,18 +261,18 @@ class TestHistogram:
 class TestNaiveOracle:
     def test_matches_examples(self):
         for graphs, k in [((K2,), 1), ((K2, EMPTY2), 1), ((K2,), 2)]:
-            coll = make_collection(*graphs)
+            coll = collection_of(graphs)
             o = ordering_of(coll)
             assert np.array_equal(jgs_histogram(coll, o, k).values, jgs_histogram_naive(coll, o, k).values)
 
     def test_k_equals_n_diagonal_zero(self):
-        coll = make_collection(K2, (3, [[0, 1], [1, 2], [0, 2]]))
+        coll = collection_of([K2, (3, [[0, 1], [1, 2], [0, 2]])])
         o = ordering_of(coll)
         est = jgs_histogram_naive(coll, o, coll.total_nodes)
         assert np.all(np.diag(est.values) == 0.0)
 
     def test_size_cap(self):
-        coll = make_collection((5, np.empty((0, 2))))
+        coll = collection_of([(5, np.empty((0, 2)))])
         with pytest.raises(ValueError):
             jgs_histogram_naive(coll, ordering_of(coll), 2, max_nodes=4)
 
@@ -320,18 +314,17 @@ class TestPermutationInvariance:
         empty4 = (4, np.empty((0, 2)))
         matching4 = (4, [[0, 1], [2, 3]])
         cycle4 = (4, [[0, 1], [1, 2], [2, 3], [0, 3]])
-        coll = make_collection(empty4, matching4, cycle4)
+        coll = collection_of([empty4, matching4, cycle4])
         base = jgs_histogram(coll, ordering_of(coll), 3)
 
         rng = np.random.default_rng(0)
         for graph_order in ([2, 0, 1], [1, 2, 0]):
             relabeled = []
             for m in graph_order:
-                g = coll.graphs[m]
-                perm = rng.permutation(g.n)
-                edges = np.sort(perm[g.edges], axis=1) if g.edge_count else g.edges
-                relabeled.append(Graph(g.n, edges))
-            shuffled = GraphCollection(tuple(relabeled))
+                n, edges = coll.sizes[m], _graph_edges(coll)[m]
+                perm = rng.permutation(n)
+                relabeled.append((n, np.sort(perm[edges], axis=1) if edges.size else edges))
+            shuffled = collection_of(relabeled)
             est = jgs_histogram(shuffled, ordering_of(shuffled), 3)
             assert np.array_equal(est.values, base.values)
 
@@ -339,17 +332,17 @@ class TestPermutationInvariance:
         rng = np.random.default_rng(7)
         coll, _ = sample_collection(Graphon.analytic(6), [8, 13], seed=19)
         base = jgs_histogram(coll, ordering_of(coll), 1)
-        perms = [rng.permutation(g.n) for g in coll.graphs]
-        relabeled = GraphCollection(tuple(
-            Graph(g.n, np.sort(p[g.edges], axis=1)) for g, p in zip(coll.graphs, perms)
-        ))
+        perms = [rng.permutation(n) for n in coll.sizes]
+        relabeled = collection_of(
+            (n, np.sort(p[e], axis=1)) for n, e, p in zip(coll.sizes, _graph_edges(coll), perms)
+        )
         est = jgs_histogram(relabeled, ordering_of(relabeled), 1)
         assert np.array_equal(est.values, base.values)
 
 
 class TestEstimateJgs:
     def test_k2_singleton(self):
-        est = estimate_jgs(make_collection(K2), k=1)
+        est = estimate_jgs(collection_of([K2]), k=1)
         assert est.values.tolist() == [[0.5]]
         assert est.method == "jgs"
         assert est.params["degree_divisor"] == "n-1"
@@ -357,7 +350,7 @@ class TestEstimateJgs:
     def test_k1_reduces_to_global_density_with_self_pairs(self):
         coll, _ = sample_collection(Graphon.analytic(5), [7, 12, 3], seed=31)
         est = estimate_jgs(coll, k=1)
-        expected = 2 * sum(g.edge_count for g in coll.graphs) / coll.total_dyads
+        expected = 2 * coll.edge_count / coll.total_dyads
         assert est.values[0, 0] == expected
 
     def test_constant_half_block_structure(self):
@@ -415,7 +408,7 @@ class TestEstimateJgs:
         assert type(est.params["k"]) is int
 
     def test_singleton_graph_participates(self):
-        coll = make_collection((1, np.empty((0, 2))), K2)
+        coll = collection_of([(1, np.empty((0, 2))), K2])
         est = estimate_jgs(coll, k=1)
         # numerator 2, denominator 1 + 4
         assert est.values[0, 0] == pytest.approx(2 / 5)

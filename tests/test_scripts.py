@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from multigraphon.bench import collection_seed
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -57,8 +59,9 @@ def test_failed_row_exits_1_with_its_reason(tmp_path, monkeypatch, capsys):
     out = tmp_path / "rows.csv"
     assert run_script("run_mise_table.py", monkeypatch, "--graphons", "1", "--methods", "jgs,usvt-pool",
                       "--M", "2", "--sizes", "fixed:24", "--trials", "1", "--res", "20", "--out", str(out)) == 1
-    assert capsys.readouterr().err == ("failed: graphon 1 method usvt-pool: "
-                                       "ValueError: resolution must be at least as fine as both grids\n")
+    assert capsys.readouterr().err == (f"failed: graphon 1 M 2 sizes fixed:24 seed {collection_seed(0, 1, 0)} "
+                                       "method usvt-pool: ValueError: resolution must be at least as fine as both "
+                                       "grids\n")
     assert [r[5] for r in data_rows(out)] == ["jgs", "usvt-pool"]
 
 
@@ -68,8 +71,11 @@ def test_failed_row_exits_1_with_its_reason(tmp_path, monkeypatch, capsys):
     ("run_mise_table.py", ["--sizes", "uniform:10"],
      "--sizes 'uniform:10': bad size spec 'uniform:10'; expected fixed:N or uniform:LO:HI"),
     ("run_scaling_regimes.py", ["--fixed-M", "1_0"], "--M '1_0': expected an integer, got '1_0'"),
+    # regime 2's input was checked only after regime 1 had run and written its CSV
+    ("run_scaling_regimes.py", ["--fixed-M", "2", "--n-values", "5,6", "--fixed-n", "5", "--M-values", "2,1_0",
+                                "--trials", "1", "--res", "20"], "--M '2,1_0': expected an integer, got '1_0'"),
     ("run_k_sensitivity.py", ["--k-values", "4,,8"], "--k '4,,8': expected an integer >= 1, got ''"),
-], ids=["mise-table-M", "mise-table-sizes", "scaling-M", "k-values"])
+], ids=["mise-table-M", "mise-table-sizes", "scaling-M", "scaling-regime-2-M", "k-values"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, name, args, message):
     monkeypatch.chdir(tmp_path)
     assert run_script(name, monkeypatch, *args) == 2
