@@ -39,15 +39,24 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=re.escape("graph 0: edge endpoints must lie in [0, n)")):
             GraphCollection([3], [1], np.array([[0, 3]]))
 
-    # each was accepted and truncated: sizes (3,) from 3.7, True as one
-    # node, the edge [[0, 1]] from [[0.5, 1.9]]
+    # each was accepted and truncated: n == 2.5 with sizes (2,), the edge
+    # [[0, 1]] from [[0.5, 1.9]], True as one node
+    @pytest.mark.parametrize("n, edges, message", [
+        (2.5, [[0, 1]], "graph sizes must be integers, got float64 values"),
+        (True, NO_EDGES, "graph sizes must be integers, got bool values"),
+        (3, np.array([[0.5, 1.9]]), "edge endpoints must be integers, got float64 values"),
+        (3, np.array([[False, True]]), "edge endpoints must be integers, got bool values"),
+    ], ids=["float-n", "bool-n", "float-edges", "bool-edges"])
+    def test_non_integer_graph_rejected(self, n, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            collection_of([(n, edges)])
+
+    # sizes (3,) from 3.7 was accepted and truncated
     @pytest.mark.parametrize("sizes, counts, edges, message", [
         ([3.7], [1], np.array([[0, 1]]), "graph sizes must be integers, got float64 values"),
-        ([True], [0], NO_EDGES, "graph sizes must be integers, got bool values"),
         ([3], [1.0], np.array([[0, 1]]), "edge counts must be integers, got float64 values"),
-        ([3], [1], np.array([[0.5, 1.9]]), "edge endpoints must be integers, got float64 values"),
-        ([3], [1], np.array([[False, True]]), "edge endpoints must be integers, got bool values"),
-    ], ids=["sizes", "bool-sizes", "counts", "edges", "bool-edges"])
+        ([3], [1], np.array([[0.0, 1.0]]), "edge endpoints must be integers, got float64 values"),
+    ], ids=["sizes", "counts", "edges"])
     def test_non_integer_edge_lists_rejected(self, sizes, counts, edges, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GraphCollection(sizes, counts, edges)
