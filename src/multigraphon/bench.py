@@ -60,6 +60,19 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _parse_float(text: str) -> float:
+    """The number ``text`` spells in ASCII, as float() reads it; ValueError
+    for a "_", a leading "+" or surrounding whitespace, which float() would
+    also take in "1_0", "+0.05" and " 0.05". "nan", "inf" and negative
+    values are read, so that range checks can report them."""
+    try:
+        if text.isascii() and "_" not in text and not text.startswith("+") and text == text.strip():
+            return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"expected a number, got {text!r}")
+
+
 @dataclass(frozen=True)
 class SizeSpec:
     """Graph-size rule: every graph has ``n`` nodes, or sizes are drawn

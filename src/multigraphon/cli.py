@@ -14,63 +14,61 @@ import sys
 from dataclasses import replace
 
 from . import bench
-from .bench import ExperimentConfig, ResultRecord, SizeSpec, _parse_int
+from .bench import ExperimentConfig, ResultRecord, SizeSpec, _parse_float, _parse_int
 from .collection import load_collection, save_collection
 from .estimates import load_estimate, read_grid, save_estimate
 from .evaluation import evaluate_estimate
-from .graphons import ANALYTIC_IDS, Graphon
+from .graphons import Graphon
 from .jgs import joint_sort, normalized_degrees, smooth_estimate
 from .tv import TvParams
 
 
-def _comma_list(text: str, option: str, parse) -> list:
-    """The entries of the comma-separated list ``text``, each read by
-    ``parse``. An entry ``parse`` refuses (so also an empty entry or one
-    with spaces) or an entry given twice is a ValueError naming the option
-    and the text as written."""
-    values = []
-    for entry in text.split(","):
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports argparse's refusals as it reports every other bad input
+        raise ValueError(message)
+
+
+def _arg(parse):
+    """The argparse type reading an option with ``parse``; its ValueError text is argparse's message."""
+    def convert(text):
         try:
-            value = parse(entry)
+            return parse(text)
         except ValueError as exc:
-            raise ValueError(f"{option} {text!r}: {exc}") from None
-        if value in values:
-            raise ValueError(f"{option} {text!r}: {entry!r} given more than once")
-        values.append(value)
-    return values
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _int_arg(text: str) -> int:
-    try:
-        return _parse_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _comma_list(parse):
+    """A parser of comma-separated lists of entries that ``parse`` reads. An entry ``parse``
+    refuses (so also an empty one or one with spaces) or given twice is a ValueError."""
+    def read(text):
+        values = []
+        for entry in text.split(","):
+            try:
+                value = parse(entry)
+            except ValueError as exc:
+                raise ValueError(f"{text!r}: {exc}") from None
+            if value in values:
+                raise ValueError(f"{text!r}: {entry!r} given more than once")
+            values.append(value)
+        return values
+    return read
 
 
-def _block_count(text: str) -> int:
-    # no sign: "-3" is refused here, while "0" reaches the range check
-    if text.startswith("-") or not (text.isascii() and text.isdigit()):
-        raise ValueError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
-
-
-def _parse_k(text: str):
-    if text == "auto":
-        return text
-    try:
-        return _block_count(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {text!r}") from None
+def _auto_or(parse):
+    return lambda text: text if text == "auto" else parse(text)
 
 
 def cmd_simulate(args) -> int:
-    coll, latent, seed = bench.sample_cell(args.seed, args.graphon, 0, SizeSpec.parse(args.sizes), args.M)
+    coll, latent, seed = bench.sample_cell(args.seed, args.graphon, 0, args.sizes, args.M)
     save_collection(coll, args.out, latent=latent, graphon_id=args.graphon, seed=seed)
     print(f"wrote {coll.num_graphs} graphs ({coll.total_nodes} nodes) to {args.out}")
     return 0
 
 
 def cmd_estimate(args) -> int:
+    TvParams(lam=args.lam)  # the options bench.estimate checks, before the collection is read
+    bench._check_k(args.k)
     coll, _, sidecar = load_collection(args.collection, latent=False)
     est = replace(bench.estimate(args.method, coll, args.k, args.lam), seed=sidecar.get("seed"))
     save_estimate(est, args.out)
@@ -79,10 +77,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_smooth(args) -> int:
+    params = TvParams(lam=args.lam)
     est = load_estimate(args.estimate)
     if est.method.endswith("-smooth"):
         raise ValueError(f"{args.estimate}: estimate of method {est.method!r} is already smoothed")
-    save_estimate(smooth_estimate(est, TvParams(lam=args.lam)), args.out)
+    save_estimate(smooth_estimate(est, params), args.out)
     print(f"smoothed {args.estimate} (lambda={args.lam}) -> {args.out}")
     return 0
 
@@ -103,9 +102,9 @@ def _results_header(path) -> bool:
 
 
 def cmd_evaluate(args) -> int:
+    truth = Graphon.analytic(args.graphon) if args.graphon is not None else read_grid(args.truth, Graphon.step)
     has_header = _results_header(args.out)
     est = load_estimate(args.estimate)
-    truth = Graphon.analytic(args.graphon) if args.graphon is not None else read_grid(args.truth, Graphon.step)
     ordering = latent = None
     if args.mae:
         if est.method not in bench.JGS_METHODS:
@@ -141,17 +140,14 @@ def cmd_evaluate(args) -> int:
 def benchmark_configs(args) -> list[ExperimentConfig]:
     """The configs of a ``benchmark`` command: one per (graphon, M, sizes,
     k), in that nesting order, all built and checked before any work."""
-    graphons = _comma_list(args.graphon, "--graphon", _parse_int)
-    counts = _comma_list(args.M, "--M", _parse_int)
-    sizes = _comma_list(args.sizes, "--sizes", SizeSpec.parse)
-    ks = ["auto"] if args.k == "auto" else _comma_list(args.k, "--k", _block_count)
+    ks = ["auto"] if args.k == "auto" else args.k
     # a pooled baseline takes no k: a --k list would score its collection once per value
     pooled = [m for m in args.method if m not in bench.JGS_METHODS]
     if len(ks) > 1 and pooled:
         raise ValueError(f"a --k list does not apply to method {pooled[0]!r}, which takes no k")
     return [ExperimentConfig(graphon_ids=(gid,), num_graphs=m, sizes=spec, trials=args.trials, seed=args.seed,
                              methods=tuple(args.method), k=k, lam=args.lam, resolution=args.res)
-            for gid in graphons for m in counts for spec in sizes for k in ks]
+            for gid in args.graphon for m in args.M for spec in args.sizes for k in ks]
 
 
 def _failure_line(cfg: ExperimentConfig, rec: ResultRecord) -> str:
@@ -167,7 +163,9 @@ def _failure_line(cfg: ExperimentConfig, rec: ResultRecord) -> str:
 
 def cmd_benchmark(args) -> int:
     """Run every config of :func:`benchmark_configs`; their rows are concatenated."""
-    runs = [(cfg, rec) for cfg in benchmark_configs(args) for rec in bench.run_benchmark(cfg)]
+    configs = benchmark_configs(args)
+    open(args.out, "w").close()  # an --out that cannot be written is refused before the first cell
+    runs = [(cfg, rec) for cfg in configs for rec in bench.run_benchmark(cfg)]
     records = [rec for _, rec in runs]
     bench.write_results_csv(records, args.out)
     failures = [_failure_line(cfg, rec) for cfg, rec in runs if rec.error]
@@ -179,67 +177,70 @@ def cmd_benchmark(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multigraphon",
         description="Graphon estimation from collections of unaligned networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    integer, integers, number = _arg(_parse_int), _arg(_comma_list(_parse_int)), _arg(_parse_float)
 
     p = sub.add_parser("simulate", help="sample a synthetic collection to JSONL")
-    p.add_argument("--graphon", type=_int_arg, required=True, choices=ANALYTIC_IDS)
-    p.add_argument("--M", type=_int_arg, required=True, help="number of graphs")
-    p.add_argument("--sizes", required=True, help="fixed:N or uniform:LO:HI")
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--graphon", type=integer, required=True)
+    p.add_argument("--M", type=integer, required=True, help="number of graphs")
+    p.add_argument("--sizes", type=_arg(SizeSpec.parse), required=True, help="fixed:N or uniform:LO:HI")
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="run one estimator on a collection file")
     p.add_argument("--collection", required=True)
     p.add_argument("--method", required=True, choices=bench.METHODS)
-    p.add_argument("--k", type=_parse_k, default="auto", help="block count or 'auto'")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
+    p.add_argument("--k", type=_arg(_auto_or(_parse_int)), default="auto", help="block count or 'auto'")
+    p.add_argument("--lambda", dest="lam", type=number, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("smooth", help="TV-smooth an estimate file")
     p.add_argument("--estimate", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
+    p.add_argument("--lambda", dest="lam", type=number, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("evaluate", help="score an estimate against a reference graphon")
     p.add_argument("--estimate", required=True)
     ref = p.add_mutually_exclusive_group(required=True)
-    ref.add_argument("--graphon", type=_int_arg, choices=ANALYTIC_IDS)
+    ref.add_argument("--graphon", type=integer)
     ref.add_argument("--truth", help="CSV file holding a symmetric step grid")
-    p.add_argument("--res", type=_int_arg, default=1000)
+    p.add_argument("--res", type=integer, default=1000)
     p.add_argument("--collection", help="collection file (for --mae)")
     p.add_argument("--mae", action="store_true", help="also report latent-position MAE")
     p.add_argument("--out", required=True, help="results CSV (appended)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="full simulate/estimate/evaluate loops")
-    p.add_argument("--graphon", required=True, help="comma-separated ids")
-    p.add_argument("--M", required=True, help="comma-separated graph counts")
-    p.add_argument("--sizes", required=True, help="comma-separated fixed:N or uniform:LO:HI")
-    p.add_argument("--trials", type=_int_arg, default=20)
-    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--graphon", type=integers, required=True, help="comma-separated ids")
+    p.add_argument("--M", type=integers, required=True, help="comma-separated graph counts")
+    p.add_argument("--sizes", type=_arg(_comma_list(SizeSpec.parse)), required=True,
+                   help="comma-separated fixed:N or uniform:LO:HI")
+    p.add_argument("--trials", type=integer, default=20)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--method", action="append", choices=bench.METHODS, required=True,
                    help="repeatable; subset of " + ", ".join(bench.METHODS))
-    p.add_argument("--k", default="auto", help="'auto' or comma-separated block counts")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.add_argument("--res", type=_int_arg, default=1000)
+    p.add_argument("--k", type=_arg(_auto_or(_comma_list(_parse_int))), default="auto",
+                   help="'auto' or comma-separated block counts")
+    p.add_argument("--lambda", dest="lam", type=number, default=0.05)
+    p.add_argument("--res", type=integer, default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Bad input (a ValueError or OSError from any
-    subcommand) is reported on one line, ``multigraphon: error: <message>``,
-    with exit status 2, as argparse reports its own errors."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand. A refused command line (argparse's refusal of an
+    option, or a ValueError or OSError from the subcommand) is reported on
+    one line, ``multigraphon: error: <message>``, with exit status 2."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"multigraphon: error: {exc}", file=sys.stderr)

@@ -131,7 +131,7 @@ class TestConfigValidation:
     def test_sweep_needs_values(self, tmp_path, capsys, monkeypatch):
         # a list option needs at least one entry
         benchmark_refuses(tmp_path, capsys, monkeypatch, ["--graphon", "1", "--sizes", "fixed:6", "--M", ""],
-                          "--M '': expected an integer, got ''")
+                          "argument --M: '': expected an integer, got ''")
 
     @pytest.mark.parametrize("fields, message", [
         (dict(graphon_ids=(1, 4, 1)), "graphon id 1 given more than once"),
@@ -167,7 +167,7 @@ class TestConfigValidation:
         text = ",".join(f"fixed:{v}" if sweep == "n" else str(v) for v in values)
         message = {
             "k": "k must be an integer >= 1, got 0",
-            "n": "--sizes 'fixed:6,fixed:0': fixed size n must be an integer >= 1, got 0",
+            "n": "argument --sizes: 'fixed:6,fixed:0': fixed size n must be an integer >= 1, got 0",
             "M": "M must be an integer >= 1, got -1",
         }[sweep]
         benchmark_refuses(tmp_path, capsys, monkeypatch, ["--graphon", "1", "--sizes", "fixed:6", option, text],
@@ -539,10 +539,10 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"
 
-    def test_unknown_method_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["estimate", "--collection", "x.jsonl", "--method", "sgwb",
-                  "--out", str(tmp_path / "o.csv")])
+    def test_unknown_method_rejected(self, tmp_path, capsys):
+        assert main(["estimate", "--collection", "x.jsonl", "--method", "sgwb",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("multigraphon: error: argument --method: invalid choice: 'sgwb'")
 
     def test_write_results_csv_full_precision(self, tmp_path):
         cfg = ExperimentConfig(graphon_ids=(1,), num_graphs=2, sizes=SizeSpec("fixed", n=6),
@@ -557,17 +557,17 @@ class TestCli:
 class TestCliExitStatus:
     @pytest.mark.parametrize("args, message", [
         (["--graphon", "1", "--sizes", "bogus"],
-         "--sizes 'bogus': bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
+         "argument --sizes: 'bogus': bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
         (["--graphon", "1,99", "--sizes", "fixed:6"], "unknown analytic graphon id 99"),
         (["--graphon", "1", "--sizes", "fixed:6", "--M", "x,y"],
-         "--M 'x,y': expected an integer, got 'x'"),
+         "argument --M: 'x,y': expected an integer, got 'x'"),
         (["--graphon", "1", "--sizes", "fixed:6", "--res", "0"],
          "resolution must be an integer >= 1, got 0"),
         (["--graphon", "1", "--sizes", "fixed:6", "--k", "0"], "k must be an integer >= 1, got 0"),
         (["--graphon", "1", "--sizes", "fixed:6", "--k", "0,2"],
          "k must be an integer >= 1, got 0"),
         (["--graphon", "1", "--sizes", "fixed:6,fixed:0"],
-         "--sizes 'fixed:6,fixed:0': fixed size n must be an integer >= 1, got 0"),
+         "argument --sizes: 'fixed:6,fixed:0': fixed size n must be an integer >= 1, got 0"),
         (["--graphon", "1", "--sizes", "fixed:6", "--M", "2,0"],
          "M must be an integer >= 1, got 0"),
         (["--graphon", "1", "--sizes", "fixed:6", "--method", "sas-pool", "--k", "2,8"],
@@ -575,24 +575,25 @@ class TestCliExitStatus:
         (["--graphon", "1", "--sizes", "fixed:6", "--seed", "-1"],
          "seed must be an integer >= 0, got -1"),
         (["--graphon", "1", "--sizes", "fixed:6", "--M", "0"], "M must be an integer >= 1, got 0"),
-        (["--graphon", "1,1", "--sizes", "fixed:6"], "--graphon '1,1': '1' given more than once"),
+        (["--graphon", "1,1", "--sizes", "fixed:6"], "argument --graphon: '1,1': '1' given more than once"),
         (["--graphon", "1", "--sizes", "fixed:6", "--method", "jgs"],
          "method 'jgs' given more than once"),
         (["--graphon", "1", "--sizes", "fixed:10,fixed:10"],
-         "--sizes 'fixed:10,fixed:10': 'fixed:10' given more than once"),
+         "argument --sizes: 'fixed:10,fixed:10': 'fixed:10' given more than once"),
         # every list option refuses empty entries, spaces and repeats; "1,,4" used to run 1 and 4
-        (["--graphon", ",1,,", "--sizes", "fixed:6"], "--graphon ',1,,': expected an integer, got ''"),
-        (["--graphon", "1, 4", "--sizes", "fixed:6"], "--graphon '1, 4': expected an integer, got ' 4'"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--M", "5 ,, 6"], "--M '5 ,, 6': expected an integer, got '5 '"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--M", "2,02"], "--M '2,02': '02' given more than once"),
+        (["--graphon", ",1,,", "--sizes", "fixed:6"], "argument --graphon: ',1,,': expected an integer, got ''"),
+        (["--graphon", "1, 4", "--sizes", "fixed:6"], "argument --graphon: '1, 4': expected an integer, got ' 4'"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--M", "5 ,, 6"],
+         "argument --M: '5 ,, 6': expected an integer, got '5 '"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--M", "2,02"], "argument --M: '2,02': '02' given more than once"),
         (["--graphon", "1", "--sizes", "fixed:6,"],
-         "--sizes 'fixed:6,': bad size spec ''; expected fixed:N or uniform:LO:HI"),
+         "argument --sizes: 'fixed:6,': bad size spec ''; expected fixed:N or uniform:LO:HI"),
         (["--graphon", "1", "--sizes", "fixed:6, uniform:2:3"],
-         "--sizes 'fixed:6, uniform:2:3': bad size spec ' uniform:2:3'; expected fixed:N or uniform:LO:HI"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--k", "2,,3"], "--k '2,,3': expected an integer >= 1, got ''"),
-        (["--graphon", "1", "--sizes", "fixed:6", "--k", "3,3"], "--k '3,3': '3' given more than once"),
+         "argument --sizes: 'fixed:6, uniform:2:3': bad size spec ' uniform:2:3'; expected fixed:N or uniform:LO:HI"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--k", "2,,3"], "argument --k: '2,,3': expected an integer, got ''"),
+        (["--graphon", "1", "--sizes", "fixed:6", "--k", "3,3"], "argument --k: '3,3': '3' given more than once"),
         (["--graphon", "1", "--sizes", "fixed:6", "--k", "auto,3"],
-         "--k 'auto,3': expected an integer >= 1, got 'auto'"),
+         "argument --k: 'auto,3': expected an integer, got 'auto'"),
     ], ids=["sizes", "graphon", "values", "res", "k", "sweep-k", "sweep-n", "sweep-M",
             "sweep-k-pooled", "seed", "M", "repeated-graphon", "repeated-method",
             "repeated-sweep-value", "graphon-empty-entries", "graphon-space", "M-spaces-and-empty",
@@ -601,6 +602,64 @@ class TestCliExitStatus:
     def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      args, message):
         benchmark_refuses(tmp_path, capsys, monkeypatch, args, message)
+
+    GOOD = {
+        "simulate": ["--graphon", "1", "--M", "2", "--sizes", "fixed:5", "--out", "c.jsonl"],
+        "estimate": ["--collection", "c.jsonl", "--method", "jgs", "--out", "est.csv"],
+        "smooth": ["--estimate", "est.csv", "--out", "smooth.csv"],
+        "evaluate": ["--estimate", "est.csv", "--graphon", "1", "--out", "rows.csv"],
+        "benchmark": ["--graphon", "1", "--M", "2", "--sizes", "fixed:6", "--method", "jgs", "--out", "rows.csv"],
+    }
+
+    REFUSED = [
+        ("simulate", "type", {"--M": "x"}, "argument --M: expected an integer, got 'x'"),
+        ("simulate", "required", {"--out": None}, "the following arguments are required: --out"),
+        ("estimate", "type", {"--k": "x"}, "argument --k: expected an integer, got 'x'"),
+        ("estimate", "choice", {"--method": "sgwb"}, "argument --method: invalid choice: 'sgwb'"),
+        ("estimate", "required", {"--collection": None}, "the following arguments are required: --collection"),
+        ("smooth", "type", {"--lambda": "x"}, "argument --lambda: expected a number, got 'x'"),
+        ("smooth", "required", {"--estimate": None}, "the following arguments are required: --estimate"),
+        ("evaluate", "type", {"--res": "x"}, "argument --res: expected an integer, got 'x'"),
+        ("evaluate", "conflict", {"--truth": "t.csv"}, "argument --truth: not allowed with argument --graphon"),
+        ("evaluate", "required", {"--graphon": None}, "one of the arguments --graphon --truth is required"),
+        ("benchmark", "type", {"--trials": "x"}, "argument --trials: expected an integer, got 'x'"),
+        ("benchmark", "choice", {"--method": "sgwb"}, "argument --method: invalid choice: 'sgwb'"),
+        ("benchmark", "required", {"--sizes": None}, "the following arguments are required: --sizes"),
+    ] + [(command, "unknown", {"--bogus": "1"}, "unrecognized arguments: --bogus 1") for command in GOOD]
+
+    @pytest.mark.parametrize("command, kind, change, message", REFUSED, ids=[f"{c}-{k}" for c, k, *_ in REFUSED])
+    def test_refused_command_line_is_one_line(self, tmp_path, capsys, monkeypatch, command, kind, change, message):
+        # argparse used to print a usage block and its own error line through SystemExit
+        monkeypatch.chdir(tmp_path)
+        options = dict(zip(self.GOOD[command][::2], self.GOOD[command][1::2]))
+        options.update(change)
+        argv = [command] + [word for name, value in options.items() if value is not None for word in (name, value)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"multigraphon: error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["sgwb"], "argument command: invalid choice: 'sgwb'"),
+    ], ids=["no-command", "unknown-command"])
+    def test_refused_command_is_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"multigraphon: error: {message}")
+
+    @pytest.mark.parametrize("command", [[], ["simulate"], ["estimate"], ["smooth"], ["evaluate"], ["benchmark"]],
+                             ids=["top", "simulate", "estimate", "smooth", "evaluate", "benchmark"])
+    def test_help_still_exits_0_with_usage(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--help"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: {' '.join(['multigraphon'] + command)} ")
+        assert captured.err == ""
 
     @pytest.mark.parametrize("method", ["jgs", "usvt-pool", "sas-pool"])
     @pytest.mark.parametrize("args, message", [
@@ -632,54 +691,48 @@ class TestCliExitStatus:
             "benchmark": ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:6",
                           "--method", "sas-pool"],
         }[command] + ["--pool-res", "20", "--out", str(tmp_path / "out.csv")]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --pool-res 20" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "multigraphon: error: unrecognized arguments: --pool-res 20\n"
 
     @pytest.mark.parametrize("option, value", [("--sweep", "n"), ("--values", "6,8")])
     def test_sweep_options_are_gone(self, tmp_path, capsys, option, value):
         # --sweep replaced --sizes, --M or --k without a word; the lists now live in those options
         argv = ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:6", "--method", "jgs",
                 option, value, "--out", str(tmp_path / "out.csv")]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: unrecognized arguments: {option} {value}\n"
 
     @pytest.mark.parametrize("command", ["estimate", "benchmark"])
     @pytest.mark.parametrize("k", ["2.5", "abc", "1_0", " 3 ", "+3", "-3", "\u0663", ""])
     def test_bad_k_says_what_k_accepts(self, tmp_path, capsys, command, k):
         # the message used to name the parser's private function, _parse_k;
-        # benchmark's --k is a list, so its own line names the list as written
+        # benchmark's --k is a list, so its line also names the list as written.
+        # A negative k is read, so both commands give the range check's reason.
         argv = {
             "estimate": ["estimate", "--collection", str(tmp_path / "c.jsonl"), "--method", "jgs"],
             "benchmark": ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:6",
                           "--method", "jgs"],
         }[command] + ["--k", k, "--out", str(tmp_path / "out.csv")]
-        if command == "estimate":
-            with pytest.raises(SystemExit) as exit_info:
-                main(argv)
-            assert exit_info.value.code == 2
-            assert capsys.readouterr().err.endswith(
-                f"error: argument --k: expected an integer >= 1 or 'auto', got '{k}'\n")
+        if k == "-3":
+            message = "k must be an integer >= 1, got -3"
         else:
-            assert main(argv) == 2
-            assert capsys.readouterr().err == (
-                f"multigraphon: error: --k '{k}': expected an integer >= 1, got '{k}'\n")
+            message = f"argument --k: {f'{k!r}: ' if command == 'benchmark' else ''}expected an integer, got {k!r}"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command, option, text, message", [
         ("simulate", "--M", "1_0", "argument --M: expected an integer, got '1_0'"),
-        ("simulate", "--sizes", "fixed:1_0", "bad size spec 'fixed:1_0'; expected fixed:N or uniform:LO:HI"),
+        ("simulate", "--sizes", "fixed:1_0",
+         "argument --sizes: bad size spec 'fixed:1_0'; expected fixed:N or uniform:LO:HI"),
         ("simulate", "--seed", "+3", "argument --seed: expected an integer, got '+3'"),
         ("simulate", "--graphon", " 1 ", "argument --graphon: expected an integer, got ' 1 '"),
-        ("benchmark", "--graphon", "1_0", "--graphon '1_0': expected an integer, got '1_0'"),
+        ("benchmark", "--graphon", "1_0", "argument --graphon: '1_0': expected an integer, got '1_0'"),
         ("benchmark", "--sizes", "uniform:+5:1_0",
-         "--sizes 'uniform:+5:1_0': bad size spec 'uniform:+5:1_0'; expected fixed:N or uniform:LO:HI"),
+         "argument --sizes: 'uniform:+5:1_0': bad size spec 'uniform:+5:1_0'; expected fixed:N or uniform:LO:HI"),
         ("benchmark", "--res", "2_0", "argument --res: expected an integer, got '2_0'"),
         ("benchmark", "--trials", "\u0662", "argument --trials: expected an integer, got '\u0662'"),
-        ("benchmark", "--M", "6,1_0", "--M '6,1_0': expected an integer, got '1_0'"),
+        ("benchmark", "--M", "6,1_0", "argument --M: '6,1_0': expected an integer, got '1_0'"),
         ("evaluate", "--res", "\u0663\u0660", "argument --res: expected an integer, got '\u0663\u0660'"),
     ], ids=["simulate-M", "simulate-sizes", "simulate-seed", "simulate-graphon", "benchmark-graphon",
             "benchmark-sizes", "benchmark-res", "benchmark-trials", "benchmark-values", "evaluate-res"])
@@ -695,13 +748,45 @@ class TestCliExitStatus:
         }[command]
         options.update({option: text, "--out": str(out)})
         argv = [command] + [word for pair in options.items() for word in pair]
-        try:
-            status = main(argv)
-        except SystemExit as exit_info:
-            status = exit_info.code
-        assert status == 2
-        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "smooth", "benchmark"])
+    @pytest.mark.parametrize("lam", ["1_0", " 0.05", "0.05 ", "+0.05", "\u0660.\u0660\u0665", "0x1", ""])
+    def test_lambda_takes_ascii_numbers_only(self, tmp_path, capsys, command, lam):
+        # float() took the first five: benchmark --lambda 1_0 smoothed with lambda = 10
+        est, out = tmp_path / "est.csv", tmp_path / "out.csv"
+        est.write_text("0.5\n")
+        argv = {
+            "estimate": ["estimate", "--collection", str(tmp_path / "c.jsonl"), "--method", "jgs-smooth"],
+            "smooth": ["smooth", "--estimate", str(est)],
+            "benchmark": ["benchmark", "--graphon", "1", "--M", "2", "--sizes", "fixed:6", "--trials", "1",
+                          "--method", "jgs-smooth", "--res", "40"],
+        }[command] + ["--lambda", lam, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: argument --lambda: expected a number, got {lam!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["0.05", "0", ".5", "5.", "1e-3", "2E+1", "-0.0"])
+    def test_lambda_spellings_accepted(self, tmp_path, lam):
+        est, out = tmp_path / "est.csv", tmp_path / "out.csv"
+        est.write_text("0.5\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["smooth", "--estimate", str(est), "--lambda", lam, "--out", str(out)]) == 0
+        assert json.loads(Path(f"{out}.meta.json").read_text())["params"]["lambda"] == float(lam)
+
+    def test_unwritable_out_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # the rows file used to be opened only after every cell had run
+        def refuse(cfg):
+            raise AssertionError("benchmark work started")
+
+        monkeypatch.setattr("multigraphon.bench.run_benchmark", refuse)
+        out = tmp_path / "missing" / "rows.csv"
+        argv = ["benchmark", "--graphon", "1,10", "--M", "2", "--sizes", "fixed:6", "--trials", "1",
+                "--method", "jgs", "--method", "jgs-smooth", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
     @pytest.mark.parametrize("case", ["empty-collection", "truncated-sidecar-estimate",
                                       "truncated-sidecar-mae", "ragged-estimate"])
@@ -877,7 +962,7 @@ class TestCliExitStatus:
                           "--out", str(tmp_path / "rows.csv")], f"{missing} not found."),
             "simulate": (["simulate", "--graphon", "1", "--M", "2", "--sizes", "bogus",
                           "--out", str(tmp_path / "c.jsonl")],
-                         "bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
+                         "argument --sizes: bad size spec 'bogus'; expected fixed:N or uniform:LO:HI"),
         }[case]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"multigraphon: error: {message}\n"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from multigraphon.bench import collection_seed
+from multigraphon.bench import METHODS, collection_seed
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -67,15 +67,23 @@ def test_failed_row_exits_1_with_its_reason(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("name, args, message", [
     # --M 1_0 used to run M=10, and a bad --sizes ended in a traceback
-    ("run_mise_table.py", ["--M", "1_0"], "--M '1_0': expected an integer, got '1_0'"),
+    ("run_mise_table.py", ["--M", "1_0"], "argument --M: '1_0': expected an integer, got '1_0'"),
     ("run_mise_table.py", ["--sizes", "uniform:10"],
-     "--sizes 'uniform:10': bad size spec 'uniform:10'; expected fixed:N or uniform:LO:HI"),
-    ("run_scaling_regimes.py", ["--fixed-M", "1_0"], "--M '1_0': expected an integer, got '1_0'"),
+     "argument --sizes: 'uniform:10': bad size spec 'uniform:10'; expected fixed:N or uniform:LO:HI"),
+    ("run_scaling_regimes.py", ["--fixed-M", "1_0"], "argument --M: '1_0': expected an integer, got '1_0'"),
     # regime 2's input was checked only after regime 1 had run and written its CSV
     ("run_scaling_regimes.py", ["--fixed-M", "2", "--n-values", "5,6", "--fixed-n", "5", "--M-values", "2,1_0",
-                                "--trials", "1", "--res", "20"], "--M '2,1_0': expected an integer, got '1_0'"),
-    ("run_k_sensitivity.py", ["--k-values", "4,,8"], "--k '4,,8': expected an integer >= 1, got ''"),
-], ids=["mise-table-M", "mise-table-sizes", "scaling-M", "scaling-regime-2-M", "k-values"])
+                                "--trials", "1", "--res", "20"],
+     "argument --M: '2,1_0': expected an integer, got '1_0'"),
+    ("run_k_sensitivity.py", ["--k-values", "4,,8"], "argument --k: '4,,8': expected an integer, got ''"),
+    # argparse-typed options and choices used to print benchmark's usage, naming options the script lacks
+    ("run_mise_table.py", ["--trials", "1_0"], "argument --trials: expected an integer, got '1_0'"),
+    ("run_mise_table.py", ["--methods", "jgs,sgwb"],
+     f"argument --method: invalid choice: 'sgwb' (choose from {', '.join(map(repr, METHODS))})"),
+    ("run_scaling_regimes.py", ["--trials", "1_0"], "argument --trials: expected an integer, got '1_0'"),
+    ("run_k_sensitivity.py", ["--seed", "+3"], "argument --seed: expected an integer, got '+3'"),
+], ids=["mise-table-M", "mise-table-sizes", "scaling-M", "scaling-regime-2-M", "k-values", "mise-table-trials",
+        "mise-table-methods", "scaling-trials", "k-seed"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, name, args, message):
     monkeypatch.chdir(tmp_path)
     assert run_script(name, monkeypatch, *args) == 2
