@@ -8,7 +8,9 @@ at a time with fresh temporaries, and one block at a time on a dense
 degree-sorted adjacency. The package's versions must reproduce them byte for
 byte, which pins every rounding step of the cyclic Jacobi sweep and of the
 Chambolle iteration, including when and how a grid stops, and every count
-and division of the histogram.
+and division of the histogram. Pinned sha256 prefixes hold the bytes of the
+jgs estimates of a Table-1 cell, and of every graphon's sampled collection,
+point values and canonical truth grids.
 """
 import hashlib
 import math
@@ -23,7 +25,7 @@ from multigraphon import baselines, tv
 from multigraphon.baselines import estimate_sas_pool, jacobi_eigh, pool_estimates
 from multigraphon.bench import SizeSpec, estimate, sample_cell
 from multigraphon.collection import _graph_edges, sample_collection
-from multigraphon.graphons import Graphon
+from multigraphon.graphons import Graphon, canonical_rearrangement, degree_function, eval_grid, graphon_eval
 from multigraphon.jgs import joint_sort, normalized_degrees
 from multigraphon.tv import TvParams, TvResult, tv_denoise, tv_smooth
 from oracles import NO_EDGES, adjacency, collection_of, frozen_joint_rank
@@ -581,3 +583,47 @@ def test_sas_tables_are_ragged():
         tracemalloc.stop()
     assert sum(t.size for t in tables) == 500 + 86**2
     assert peak < 4 * 2**20
+
+
+STEP_SPEC = Graphon.step([[0.7, 0.1, 0.3], [0.1, 0.4, 0.0], [0.3, 0.0, 0.9]])
+
+
+@pytest.mark.parametrize("graphon_id, digests", [
+    (1, ("06d92c731f74b273", "cc102d5dd890f715", "b9b6f79bda731c6d", "09dd958059f1b3f6")),
+    (2, ("ba67b6f62d587dee", "4bc29dafbf2d465a", "2e76380fbded749b", "13c68db873846808")),
+    (3, ("4feea49072879b83", "9dec5236e97931b9", "cede441cb138c765", "122a4643ce86ce2d")),
+    (4, ("c6df7b6bd8387e49", "2290295d7a1c3839", "b23a57aa7550a3ed", "c94e8341043e24fd")),
+    (5, ("458bfa814227a277", "566d11830afa455d", "3f6457adf25252ff", "1d7ad7c4135c6a05")),
+    (6, ("87358e37f7f648c0", "68e5968b3ac871de", "5885c84a88c9aa1b", "b999817889f155ec")),
+    (7, ("38bf62c989d9ee7b", "163dfd7de1d5034d", "b24889a939464324", "11ab533daf8bea36")),
+    (8, ("c7f54ad9d0cde0a8", "71b02bd3e8db3c0b", "3b3c79ee2de7a303", "7499bbf339f003f4")),
+    (9, ("9f3ac534fb1208bf", "fb09cd1152ff5cb4", "3fce82400c4a1138", "f283710db72a5e21")),
+    (10, ("546d6a2f8114f6c0", "85c4be9b0d548109", "ace40049231148bb", "15dee8865deea008")),
+    (11, ("0ee10e0265cd0879", "3c1f2a1cd18aaa37", "9e51ab01d1755ca9", "b9a2dc340be232c8")),
+    (12, ("7d0c7d19a5138506", "7260a5b00856ea0a", "adb064048b0c998e", "56f0490be6df0464")),
+    (13, ("5068742165b7c859", "0c4d3de8f168c970", "7bff63e0c2958d27", "948d79f0a10d5300")),
+    ("step", ("383fa351bb34e7b9", "24214da0e6c6f455", "a20bc2a61e132a04", "2f097835e6629435")),
+])
+def test_graphon_bytes_pinned(graphon_id, digests):
+    # sha256 prefixes, recorded at commit ed7f997, of: a sampled collection
+    # (edge offsets, global edges, latents; n=363 puts a chunk boundary of the
+    # pair stream inside a graph); W on a 7x7 midpoint grid, the degree
+    # function at 9 points and W at 1000 random pairs in either order; and
+    # the canonical truth grids at R=250 and R=1000
+    spec = STEP_SPEC if graphon_id == "step" else Graphon.analytic(graphon_id)
+    coll, latent = sample_collection(spec, [1, 2, 3, 17, 60, 363, 100], seed=31)
+    u, v = np.random.default_rng(0).random((2, 1000))
+    parts = [
+        (coll.edge_offsets, coll.edges, np.concatenate(latent)),
+        (eval_grid(spec, 7), degree_function(spec, (np.arange(9) + 0.25) / 9, resolution=250),
+         graphon_eval(spec, u, v)),
+        (canonical_rearrangement(spec, 250).grid,),
+        (canonical_rearrangement(spec, 1000).grid,),
+    ]
+    got = []
+    for arrays in parts:
+        digest = hashlib.sha256()
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a).tobytes())
+        got.append(digest.hexdigest()[:16])
+    assert tuple(got) == digests
