@@ -193,29 +193,37 @@ def sample_cell(seed: int, graphon_id: int, trial: int, sizes: SizeSpec,
     """The collection of one (graphon, trial) cell under master seed ``seed``,
     drawn by the seeding rule of this module's docstring.
 
-    Returns the collection, its latent positions and its sub-seed.
+    Returns the collection, its latent positions and its sub-seed. A seed
+    below 0 or a graph count below 1 raises ValueError before any sampling.
     """
     _require_int("seed", seed, least=0)
+    _require_int("M", num_graphs)
     sub = collection_seed(seed, graphon_id, trial)
     drawn = sizes.draw(np.random.default_rng([seed, graphon_id, trial, 0]), num_graphs)
     coll, latent = sample_collection(Graphon.analytic(graphon_id), drawn, sub)
     return coll, latent, sub
 
 
-def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: float = 0.05) -> StepEstimate:
+def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: float = 0.05,
+             jgs: StepEstimate | None = None) -> StepEstimate:
     """Run one of :data:`METHODS` on a collection.
 
     ``k`` is the jgs block count and ``lam`` the TV weight of ``jgs-smooth``
     and ``sas-pool``. A ``lam`` that is not finite and >= 0 or a ``k`` that
     is neither "auto" nor an integer >= 1 raises ValueError before any work,
     whatever the method.
+
+    ``jgs``, if given, is the ``jgs`` estimate of ``coll`` with this ``k``,
+    already built: the jgs methods then start from it instead of building
+    it again (``jgs`` returns it, ``jgs-smooth`` smooths it), so their
+    elapsed times are its time, plus the smoothing's for ``jgs-smooth``.
     """
     smoothing = TvParams(lam=lam)
     _check_k(k)
-    if method == "jgs":
-        return estimate_jgs(coll, k=k)
-    if method == "jgs-smooth":
-        return smooth_estimate(estimate_jgs(coll, k=k), smoothing)
+    if method in JGS_METHODS:
+        if jgs is None:
+            jgs = estimate_jgs(coll, k=k)
+        return jgs if method == "jgs" else smooth_estimate(jgs, smoothing)
     if method == "sas-pool":
         return estimate_sas_pool(coll, lam=lam)
     if method == "usvt-pool":
@@ -225,17 +233,22 @@ def estimate(method: str, coll: GraphCollection, k: int | str = "auto", lam: flo
 
 def _run_cell(cfg: ExperimentConfig, graphon_id: int, trial: int) -> list[ResultRecord]:
     """All methods for one (graphon, trial): simulate once, then estimate
-    and evaluate per method."""
+    and evaluate per method. The jgs methods share one ``jgs`` estimate,
+    built by the first of them to run; a failed build is not kept, so each
+    jgs method then fails alike."""
     coll, latent, sub = sample_cell(cfg.seed, graphon_id, trial, cfg.sizes, cfg.num_graphs)
     spec = Graphon.analytic(graphon_id)
     row = partial(ResultRecord, graphon_id=graphon_id, num_graphs=cfg.num_graphs,
                   size_label=cfg.sizes.label(), seed=sub)
     records = []
+    jgs = None  # the cell's jgs estimate
     ordering = None  # the joint ordering MAE scores; shared by the jgs methods
     for method in cfg.methods:
         try:
-            est = estimate(method, coll, cfg.k, cfg.lam)
             is_jgs = method in JGS_METHODS
+            if is_jgs and jgs is None:
+                jgs = estimate("jgs", coll, cfg.k, cfg.lam)
+            est = estimate(method, coll, cfg.k, cfg.lam, jgs=jgs)
             if is_jgs and ordering is None:
                 ordering = joint_sort(normalized_degrees(coll))
             scores = evaluate_estimate(est, spec, resolution=cfg.resolution,

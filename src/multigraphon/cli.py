@@ -20,7 +20,7 @@ from .estimates import load_estimate, read_grid, save_estimate
 from .evaluation import evaluate_estimate
 from .graphons import Graphon
 from .jgs import joint_sort, normalized_degrees, smooth_estimate
-from .tv import TvParams
+from .tv import TvParams, _require_int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,6 +102,7 @@ def _results_header(path) -> bool:
 
 
 def cmd_evaluate(args) -> int:
+    _require_int("resolution", args.res)  # as benchmark does, before any file is read
     truth = Graphon.analytic(args.graphon) if args.graphon is not None else read_grid(args.truth, Graphon.step)
     has_header = _results_header(args.out)
     est = load_estimate(args.estimate)

@@ -9,6 +9,13 @@ representations are supported:
 * ``step`` -- a k x k symmetric grid of probabilities, interpreted as a
   piecewise-constant function on half-open cells [lo, hi) with the last
   cell closed.
+
+Every kernel is symmetric bit for bit: W(u, v) and W(v, u) are the same
+float. Eleven formulas are so by their operations alone (a product, a sum
+of two terms, the absolute value of a difference, an explicit minimum or
+maximum, comparisons). Formulas 3 and 8 add three or four terms, and float
+addition is not associative, so they evaluate on the canonical pair
+(min(u, v), max(u, v)) themselves.
 """
 from __future__ import annotations
 
@@ -35,7 +42,8 @@ def _w2(u, v):
 
 
 def _w3(u, v):
-    return 0.25 * (u**2 + v**2 + np.sqrt(u) + np.sqrt(v))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)  # the canonical pair: see the module docstring
+    return 0.25 * (lo**2 + hi**2 + np.sqrt(lo) + np.sqrt(hi))
 
 
 def _w4(u, v):
@@ -55,7 +63,8 @@ def _w7(u, v):
 
 
 def _w8(u, v):
-    return np.exp(-0.5 * (np.minimum(u, v) + np.sqrt(u) + np.sqrt(v)))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)  # as in _w3
+    return np.exp(-0.5 * (lo + np.sqrt(lo) + np.sqrt(hi)))
 
 
 def _w9(u, v):
@@ -157,15 +166,17 @@ def graphon_eval(spec: Graphon, u, v):
 
 
 def _kernel(spec: Graphon, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """W(u, v) for float arrays the caller knows to lie in [0, 1]."""
+    """W(u, v) for float arrays the caller knows to lie in [0, 1].
+
+    The arguments go to the formula as given, in either order: only
+    formulas 3 and 8 sum terms in an order that depends on the argument
+    order, and those two take the canonical (min, max) pair themselves
+    (see the module docstring), so no other formula pays for it.
+    """
     if spec.is_step:
         k = spec.grid.shape[0]
         return spec.grid[_cell_index(u, k), _cell_index(v, k)]
-    # evaluate on the canonical (min, max) pair: the formulas are
-    # symmetric analytically, and this makes them symmetric bitwise
-    # (float addition is commutative but not associative)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    return _FORMULAS[spec.graphon_id](lo, hi)
+    return _FORMULAS[spec.graphon_id](u, v)
 
 
 def _midpoints(resolution: int) -> np.ndarray:

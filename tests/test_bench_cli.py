@@ -8,12 +8,14 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import multigraphon
+from multigraphon import bench
 from multigraphon.bench import (
     ExperimentConfig,
     SizeSpec,
@@ -26,6 +28,7 @@ from multigraphon.bench import (
 from multigraphon.cli import main
 from multigraphon.collection import load_collection, sample_collection, save_collection
 from multigraphon.graphons import Graphon, eval_grid
+from multigraphon.jgs import estimate_jgs
 from oracles import NO_EDGES, collection_of
 
 
@@ -297,6 +300,40 @@ class TestBenchmark:
         failed = [r for r in records if r.error]
         assert len(failed) == 1 and failed[0].method == "usvt-pool"
         assert failed[0].mise is None
+
+    @pytest.mark.parametrize("methods", [("jgs", "jgs-smooth"), ("jgs-smooth", "jgs")],
+                             ids=["jgs-first", "smooth-first"])
+    def test_one_jgs_estimate_per_cell(self, monkeypatch, methods):
+        # jgs-smooth used to build the cell's jgs estimate a second time
+        alone = [run_benchmark(self.small_cfg(methods=(m,))) for m in methods]
+        calls = []
+
+        def counted(coll, k="auto"):
+            calls.append(coll)
+            return estimate_jgs(coll, k=k)
+
+        monkeypatch.setattr(bench, "estimate_jgs", counted)
+        records = run_benchmark(self.small_cfg(methods=methods))
+        assert len(calls) == 2 * 2 and len(set(map(id, calls))) == 2 * 2  # one call per cell
+        untimed = [replace(r, seconds=None) for r in records]
+        assert untimed == [replace(r, seconds=None) for cell in zip(*alone) for r in cell]
+        for cell in zip(records[::2], records[1::2]):
+            seconds = {r.method: r.seconds for r in cell}
+            assert seconds["jgs-smooth"] >= seconds["jgs"]  # the cell's jgs time plus TV time
+
+    @pytest.mark.parametrize("methods", [("jgs", "jgs-smooth"), ("jgs-smooth", "jgs")],
+                             ids=["jgs-first", "smooth-first"])
+    def test_failed_jgs_estimate_fails_both_rows_alike(self, monkeypatch, methods):
+        calls = []
+
+        def broken(coll, k="auto"):
+            calls.append(coll)
+            raise RuntimeError("no histogram")
+
+        monkeypatch.setattr(bench, "estimate_jgs", broken)
+        records = run_benchmark(self.small_cfg(methods=methods, graphon_ids=(1,), trials=1))
+        assert [(r.method, r.error) for r in records] == [(m, "RuntimeError: no histogram") for m in methods]
+        assert len(calls) == 2  # a failed estimate is not kept: each method runs into the failure
 
     def test_subseed_is_stable(self):
         assert collection_seed(1, 2, 3) == collection_seed(1, 2, 3)
@@ -602,6 +639,31 @@ class TestCliExitStatus:
     def test_input_error_is_one_line_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      args, message):
         benchmark_refuses(tmp_path, capsys, monkeypatch, args, message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--graphon", "1", "--M", "-1", "--sizes", "uniform:5:9", "--out", "c.jsonl"],
+         "M must be an integer >= 1, got -1"),
+        (["simulate", "--graphon", "1", "--M", "-1", "--sizes", "fixed:5", "--out", "c.jsonl"],
+         "M must be an integer >= 1, got -1"),
+        (["simulate", "--graphon", "1", "--M", "0", "--sizes", "fixed:5", "--out", "c.jsonl"],
+         "M must be an integer >= 1, got 0"),
+        (["evaluate", "--estimate", "missing.csv", "--graphon", "1", "--res", "0", "--out", "rows.csv"],
+         "resolution must be an integer >= 1, got 0"),
+        (["evaluate", "--estimate", "missing.csv", "--truth", "missing.csv", "--res", "-2", "--mae",
+          "--collection", "missing.jsonl", "--out", "rows.csv"], "resolution must be an integer >= 1, got -2"),
+    ], ids=["simulate-M-negative", "simulate-M-negative-fixed", "simulate-M-0", "evaluate-res-0",
+            "evaluate-res-negative"])
+    def test_range_refused_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
+        # simulate used to report numpy's "negative dimensions are not allowed" or "collection
+        # must contain at least one graph", evaluate that the missing estimate file was not found
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("multigraphon.bench.sample_collection", refuse)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"multigraphon: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     GOOD = {
         "simulate": ["--graphon", "1", "--M", "2", "--sizes", "fixed:5", "--out", "c.jsonl"],

@@ -39,6 +39,19 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=re.escape("graph 0: edge endpoints must lie in [0, n)")):
             GraphCollection([3], [1], np.array([[0, 3]]))
 
+    # the check compares each graph's largest endpoint with its size; the
+    # error names the graph of the first bad edge, with edgeless graphs between
+    @pytest.mark.parametrize("counts, edges, graph", [
+        ([1, 0, 1, 1], [[0, 1], [-1, 2], [0, 5]], 2),
+        ([1, 0, 1, 1], [[0, 1], [0, 4], [-1, 2]], 2),
+        ([1, 0, 1, 1], [[0, 1], [0, 3], [-1, 2]], 3),
+        ([2, 0, 1, 1], [[0, 1], [1, 3], [0, 3], [1, 5]], 0),
+        ([1, 0, 0, 2], [[0, 2], [0, 4], [1, 5]], 3),
+    ])
+    def test_out_of_range_names_first_bad_graph(self, counts, edges, graph):
+        with pytest.raises(ValueError, match=re.escape(f"graph {graph}: edge endpoints must lie in [0, n)")):
+            GraphCollection([3, 1, 4, 5], counts, np.array(edges))
+
     # each was accepted and truncated: n == 2.5 with sizes (2,), the edge
     # [[0, 1]] from [[0.5, 1.9]], True as one node
     @pytest.mark.parametrize("n, edges, message", [
